@@ -51,7 +51,6 @@ var collectiveNames = map[string]bool{
 	"Barrier":                  true,
 	"Bcast":                    true,
 	"AllreduceBytes":           true,
-	"AllreduceBytesRing":       true,
 	"AllreduceFloat64Sum":      true,
 	"AllreduceInt64Sum":        true,
 	"AllreduceInt64Max":        true,
@@ -59,30 +58,20 @@ var collectiveNames = map[string]bool{
 	"Allgather":                true,
 	"Alltoallv":                true,
 	"Gather":                   true,
-	// Overlapped collective engine (PR 4): the overlapped/streaming
-	// alltoall variants, the fused per-iteration reduction, and the
-	// pipelined/size-selected ring reductions are collectives like any
-	// other — every rank must reach them symmetrically.
-	"AlltoallvSeq":                true,
-	"AlltoallvInto":               true,
-	"AlltoallvFunc":               true,
-	"AllgatherInto":               true,
-	"AllreduceIterStats":          true,
-	"AllreduceBytesRingPipelined": true,
-	"AllreduceBytesAuto":          true,
-	// Mid-solve load rebalancing (PR 7): the migration exchanges and the
-	// work-vector reductions that drive the trigger. Doubly deadly under
-	// rank-dependent control flow — the migration rounds share one tag and
-	// rely on per-pair FIFO order, so an asymmetric entry desynchronizes
-	// the round framing for the whole world.
-	"MigrationExchange":      true,
-	"MigrationExchangeSeq":   true,
-	"AllreduceIterStatsWork": true,
-	"AllreduceInt64SliceMax": true,
-	// Resident serving (PR 8): every rank of a resident world must enter
-	// the per-batch drift reduction, or the update call wedges with some
-	// ranks inside the collective and the rest back in their command loop.
-	"AllreduceUpdateStats": true,
+	// Overlapped collective engine (PR 4): the scratch-reusing and
+	// streaming alltoall variants and the fused per-iteration reduction
+	// are collectives like any other — every rank must reach them
+	// symmetrically. The fused reduction also carries the rebalancer's work
+	// vector and the serving path's per-batch drift counts.
+	"AlltoallvInto":      true,
+	"AlltoallvFunc":      true,
+	"AllgatherInto":      true,
+	"AllreduceIterStats": true,
+	// Mid-solve load rebalancing (PR 7): the migration exchange is doubly
+	// deadly under rank-dependent control flow — the migration rounds share
+	// one tag and rely on per-pair FIFO order, so an asymmetric entry
+	// desynchronizes the round framing for the whole world.
+	"MigrationExchange": true,
 }
 
 // rankNames are identifiers assumed to hold a rank by naming convention.

@@ -41,15 +41,16 @@ var AnalyzerCommErr = &Analyzer{
 var commErrOps = map[string]bool{
 	"Send": true, "Recv": true,
 	"Barrier": true, "Bcast": true,
-	"AllreduceBytes": true, "AllreduceBytesRing": true,
-	"AllreduceFloat64Sum": true, "AllreduceInt64Sum": true,
-	"AllreduceInt64Max": true, "AllreduceFloat64SliceSum": true,
-	"Allgather": true, "Alltoallv": true, "Gather": true,
+	"AllreduceBytes": true, "AllreduceFloat64Sum": true,
+	"AllreduceInt64Sum": true, "AllreduceInt64Max": true,
+	"AllreduceFloat64SliceSum": true, "Allgather": true,
+	"Alltoallv": true, "Gather": true,
 	// Overlapped collective engine (PR 4): same failure modes, same
-	// obligation to check the error.
-	"AlltoallvSeq": true, "AlltoallvInto": true, "AlltoallvFunc": true,
+	// obligation to check the error. A dropped error from the fused
+	// reduction leaves the convergence test, the rebalancer's work vector
+	// or the serving drift accounting divergent across ranks.
+	"AlltoallvInto": true, "AlltoallvFunc": true,
 	"AllgatherInto": true, "AllreduceIterStats": true,
-	"AllreduceBytesRingPipelined": true, "AllreduceBytesAuto": true,
 	"RunWorld": true, "RunWorldStats": true, "DialTCPWorld": true,
 	// Robustness layer (PR 3): deadline-bounded receives, retry wrappers,
 	// configurable dialing, and chaos worlds fail for the same reasons the
@@ -58,12 +59,7 @@ var commErrOps = map[string]bool{
 	"DialTCPWorldConfig": true, "RunWorldChaos": true, "Drain": true,
 	// Mid-solve load rebalancing (PR 7): a dropped migration error leaves
 	// the world's ownership directories divergent — worse than a crash.
-	"MigrationExchange": true, "MigrationExchangeSeq": true,
-	"AllreduceIterStatsWork": true, "AllreduceInt64SliceMax": true,
-	// Resident serving (PR 8): the fused drift reduction behind every
-	// incremental update batch. A dropped error here leaves the drift
-	// accounting divergent across ranks, so the fallback decision splits.
-	"AllreduceUpdateStats": true,
+	"MigrationExchange": true,
 }
 
 // graphIOOps are the graph package's IO entry points. The parallel ingest

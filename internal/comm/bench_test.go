@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -151,90 +150,27 @@ func benchAlltoallvUnderDelay(b *testing.B, fn func(Comm, [][]byte) ([][]byte, e
 func BenchmarkAlltoallvSeq(b *testing.B)     { benchAlltoallvUnderDelay(b, AlltoallvSeq) }
 func BenchmarkAlltoallvOverlap(b *testing.B) { benchAlltoallvUnderDelay(b, Alltoallv) }
 
-// BenchmarkAllreduceRingPipelined compares the plain ring against the
-// segmented pipeline under injected per-message latency. The injected-delay
-// model is deliberately adversarial to pipelining — every extra frame on a
-// link costs a full lane sleep, and the 1ms delay dwarfs the combine the
-// pipeline overlaps — so the pipelined variant is expected to trail here;
-// its regime is bandwidth-bound payloads (see docs/PERFORMANCE.md), which
-// is exactly what AllreduceBytesAuto's record-count threshold encodes.
-func BenchmarkAllreduceRingPipelined(b *testing.B) {
-	const nrec = 8192
-	payload := make([]byte, nrec*8)
-	for i := 0; i < nrec; i++ {
-		binary.LittleEndian.PutUint64(payload[i*8:], uint64(i))
+// AlltoallvSeq is the sequential reference of Alltoallv: p−1 blocking
+// Send/Recv steps, so its latency is the sum over peers instead of the
+// max. The conformance suite checks the overlapped exchange against it
+// byte for byte.
+func AlltoallvSeq(c Comm, out [][]byte) ([][]byte, error) {
+	p, r := c.Size(), c.Rank()
+	if len(out) != p {
+		return nil, fmt.Errorf("comm: Alltoallv needs %d buffers, got %d", p, len(out))
 	}
-	maxU64 := func(x, y []byte) []byte {
-		out := make([]byte, len(x))
-		for i := 0; i+8 <= len(x); i += 8 {
-			vx, vy := binary.LittleEndian.Uint64(x[i:]), binary.LittleEndian.Uint64(y[i:])
-			if vy > vx {
-				vx = vy
-			}
-			binary.LittleEndian.PutUint64(out[i:], vx)
+	in := make([][]byte, p)
+	in[r] = append([]byte{}, out[r]...)
+	for step := 1; step < p; step++ {
+		dst, src := (r+step)%p, (r-step+p)%p
+		if err := c.Send(dst, tagAlltoallv, out[dst]); err != nil {
+			return nil, err
 		}
-		return out
-	}
-	split := func(data []byte, n int) [][]byte {
-		segs := make([][]byte, n)
-		rec := len(data) / 8
-		for i := 0; i < n; i++ {
-			segs[i] = data[(i*rec/n)*8 : ((i+1)*rec/n)*8]
+		got, err := c.Recv(src, tagAlltoallv)
+		if err != nil {
+			return nil, err
 		}
-		return segs
+		in[src] = got
 	}
-	variants := []struct {
-		name string
-		fn   func(Comm) ([]byte, error)
-	}{
-		{"ring", func(c Comm) ([]byte, error) { return AllreduceBytesRing(c, payload, maxU64) }},
-		{"ring-pipelined", func(c Comm) ([]byte, error) {
-			return AllreduceBytesRingPipelined(c, payload, 8, split, maxU64)
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name+"/p=8", func(b *testing.B) {
-			b.SetBytes(int64(len(payload)))
-			err := RunWorldChaos(8, delayOnlyChaos(), func(c Comm) error {
-				for i := 0; i < b.N; i++ {
-					if _, err := v.fn(c); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-func BenchmarkAllreduceAlgorithms(b *testing.B) {
-	// Recursive doubling vs ring, at the hub-proposal payload size of the
-	// UK-2007 stand-in (DESIGN.md §5 ablation).
-	payload := make([]byte, 8192)
-	combine := func(x, y []byte) []byte { return x }
-	for _, algo := range []string{"recursive-doubling", "ring"} {
-		b.Run(algo+"/p=8", func(b *testing.B) {
-			b.SetBytes(int64(len(payload)))
-			err := RunWorld(8, func(c Comm) error {
-				for i := 0; i < b.N; i++ {
-					var err error
-					if algo == "ring" {
-						_, err = AllreduceBytesRing(c, payload, combine)
-					} else {
-						_, err = AllreduceBytes(c, payload, combine)
-					}
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	return in, nil
 }

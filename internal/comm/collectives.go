@@ -12,15 +12,10 @@ import (
 // call the same collective in the same order (bulk-synchronous usage), as
 // with MPI.
 //
-// The overlapped variants (Alltoallv, AlltoallvFunc, Gather,
-// AllreduceBytesRingPipelined — see overlap.go) post sends up front and
-// consume replies as they arrive instead of serializing p−1 round-trips.
-// They share the sequential variants' tags: per-(source, tag) FIFO plus the
-// bulk-synchronous usage rule means each collective call consumes a fixed
-// number of messages per peer stream, so sequential and overlapped calls
-// can even be mixed across ranks of the same collective without
-// mismatching. docs/PERFORMANCE.md describes the overlap design and why
-// results stay bit-identical.
+// The personalized exchanges (Alltoallv, AlltoallvFunc — see overlap.go)
+// and Gather post sends up front and consume replies as they arrive
+// instead of serializing p−1 round-trips. docs/PERFORMANCE.md describes the
+// overlap design and why results stay bit-identical.
 
 // collStart returns a start timestamp when per-collective trace accounting
 // is enabled and the zero time otherwise, so the disabled path costs one
@@ -158,58 +153,6 @@ func AllreduceBytes(c Comm, data []byte, combine func(a, b []byte) []byte) ([]by
 	return data, nil
 }
 
-// AllreduceBytesRing is a ring-based alternative to AllreduceBytes: each
-// rank forwards the running combination around a ring (p−1 steps), then the
-// final value is broadcast from the last rank. Latency is O(p) instead of
-// O(log p), but each step moves only one message; the ablation benchmarks
-// compare the two. combine must be associative and commutative.
-func AllreduceBytesRing(c Comm, data []byte, combine func(a, b []byte) []byte) ([]byte, error) {
-	p := c.Size()
-	if p == 1 {
-		return data, nil
-	}
-	defer collDone(trace.CollAllreduceRing, collStart(), int64(len(data)))
-	r := c.Rank()
-	next := (r + 1) % p
-	prev := (r - 1 + p) % p
-	// Reduce phase: rank 0 starts; everyone else combines and forwards.
-	if r != 0 {
-		got, err := c.Recv(prev, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		data = combine(data, got)
-	}
-	if err := c.Send(next, tagReduce, data); err != nil {
-		return nil, err
-	}
-	if r == 0 {
-		// The value arriving from the last rank already covers every rank
-		// (rank 0's own contribution entered the ring at the first step).
-		got, err := c.Recv(prev, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		data = got
-	} else {
-		// Everyone already forwarded; now take the final value as it
-		// circulates back.
-		got, err := c.Recv(prev, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		data = got
-	}
-	// One more forwarding round distributes the final value; the last rank
-	// before rank 0 must not send back into rank 0's reduce stream.
-	if r != p-1 {
-		if err := c.Send(next, tagReduce, data); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
 // AllreduceFloat64Sum returns the sum of v across all ranks.
 func AllreduceFloat64Sum(c Comm, v float64) (float64, error) {
 	buf := wire.NewBuffer(8)
@@ -324,41 +267,6 @@ func AllgatherInto(c Comm, mine []byte, in [][]byte) ([][]byte, error) {
 		srcRank := (r - 1 - step + 2*p) % p
 		in[srcRank] = got
 		carry = got
-	}
-	return in, nil
-}
-
-// AlltoallvSeq performs a personalized all-to-all exchange: out[i] is sent
-// to rank i, and the returned slice holds in[i] received from rank i. out
-// must have length Size(); out[Rank()] is returned unchanged (copied).
-//
-// This is the sequential baseline: p−1 blocking Send/Recv steps, so total
-// latency is the sum over peers. The overlapped Alltoallv in overlap.go
-// returns identical results at max-over-peers latency; this variant is
-// kept for A/B comparison (core's Options.SequentialCollectives, the
-// benchmarks) and as the simplest reference implementation.
-func AlltoallvSeq(c Comm, out [][]byte) ([][]byte, error) {
-	p := c.Size()
-	if len(out) != p {
-		return nil, fmt.Errorf("comm: Alltoallv needs %d buffers, got %d", p, len(out))
-	}
-	defer collDone(trace.CollAlltoallv, collStart(), framesLen(out))
-	r := c.Rank()
-	in := make([][]byte, p)
-	self := make([]byte, len(out[r]))
-	copy(self, out[r])
-	in[r] = self
-	for step := 1; step < p; step++ {
-		dst := (r + step) % p
-		src := (r - step + p) % p
-		if err := c.Send(dst, tagAlltoallv, out[dst]); err != nil {
-			return nil, err
-		}
-		got, err := c.Recv(src, tagAlltoallv)
-		if err != nil {
-			return nil, err
-		}
-		in[src] = got
 	}
 	return in, nil
 }

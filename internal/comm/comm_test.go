@@ -346,6 +346,56 @@ func TestAllreduceSliceSum(t *testing.T) {
 	}
 }
 
+// TestAllreduceIterStatsRejectsMalformedFrames feeds the fused reduction
+// operands of the wrong length. The combine must turn them into an empty
+// poison frame, and every rank that decodes a poisoned result must report
+// ErrMalformed instead of reading the missing bytes as zeros.
+func TestAllreduceIterStatsRejectsMalformedFrames(t *testing.T) {
+	full := make([]byte, iterStatsWireLen)
+	combine := combineIterStats(iterStatsWireLen)
+	for _, ops := range [][2][]byte{
+		{full, full[:24]}, {full[:24], full}, {full[:24], full[:24]},
+		{full, make([]byte, iterStatsWireLen+8)}, {nil, full},
+	} {
+		if got := combine(ops[0], ops[1]); len(got) != 0 {
+			t.Errorf("combine(len %d, len %d) = %d bytes, want the empty poison frame", len(ops[0]), len(ops[1]), len(got))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// rank 0 sends this instead of a well-formed frame
+		rank0 func(c Comm) error
+	}{
+		{"short", func(c Comm) error {
+			_, err := AllreduceBytes(c, full[:16], func(a, b []byte) []byte { return a })
+			return err
+		}},
+		{"mismatched", func(c Comm) error {
+			_, err := AllreduceIterStats(c, IterStats{Moved: 1}, nil)
+			if !errors.Is(err, ErrMalformed) {
+				return fmt.Errorf("rank 0: err = %v, want ErrMalformed", err)
+			}
+			return nil
+		}},
+	} {
+		for _, p := range []int{2, 3, 4, 5, 8} {
+			err := RunWorld(p, func(c Comm) error {
+				if c.Rank() == 0 {
+					return tc.rank0(c)
+				}
+				_, err := AllreduceIterStats(c, IterStats{Moved: 1}, make([]int64, p))
+				if !errors.Is(err, ErrMalformed) {
+					return fmt.Errorf("rank %d: err = %v, want ErrMalformed", c.Rank(), err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%s p=%d: %v", tc.name, p, err)
+			}
+		}
+	}
+}
+
 func TestAllgatherAllSizes(t *testing.T) {
 	for _, p := range worldSizes() {
 		p := p

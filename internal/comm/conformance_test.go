@@ -257,22 +257,12 @@ func batteryCollectives(c Comm) error {
 	mine := make([]byte, 8)
 	binary.LittleEndian.PutUint64(mine, uint64(r+1))
 	wantSum := uint64(p * (p + 1) / 2)
-	// Fixed order: both variants share tagAllreduce, so every rank must run
-	// them in the same sequence (a map's randomized iteration order here
-	// would cross-match the two collectives and deadlock).
-	variants := []struct {
-		name string
-		fn   func(Comm, []byte, func(a, b []byte) []byte) ([]byte, error)
-	}{{"allreduce", AllreduceBytes}, {"allreduce-ring", AllreduceBytesRing}}
-	for _, v := range variants {
-		name, fn := v.name, v.fn
-		out, err := fn(c, mine, sumU64)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if got := binary.LittleEndian.Uint64(out); got != wantSum {
-			return fmt.Errorf("%s: rank %d got %d want %d", name, r, got, wantSum)
-		}
+	out, err := AllreduceBytes(c, mine, sumU64)
+	if err != nil {
+		return fmt.Errorf("allreduce: %w", err)
+	}
+	if got := binary.LittleEndian.Uint64(out); got != wantSum {
+		return fmt.Errorf("allreduce: rank %d got %d want %d", r, got, wantSum)
 	}
 
 	all, err := Allgather(c, payload("gathered", r))
@@ -285,11 +275,11 @@ func batteryCollectives(c Comm) error {
 		}
 	}
 
-	out := make([][]byte, p)
+	frames := make([][]byte, p)
 	for i := 0; i < p; i++ {
-		out[i] = payload("a2a", r, i)
+		frames[i] = payload("a2a", r, i)
 	}
-	in, err := Alltoallv(c, out)
+	in, err := Alltoallv(c, frames)
 	if err != nil {
 		return fmt.Errorf("alltoallv: %w", err)
 	}
@@ -299,12 +289,11 @@ func batteryCollectives(c Comm) error {
 		}
 	}
 
-	// Overlapped engine (PR 4). The sequential baseline and the streaming
-	// variant share tagAlltoallv with the overlapped call above, so — like
-	// the allreduce variants — they must run in the same fixed order on
-	// every rank. The baseline must agree with the overlapped default
-	// byte-for-byte.
-	inSeq, err := AlltoallvSeq(c, out)
+	// The sequential reference and the streaming variant share
+	// tagAlltoallv with the overlapped call above, so they must run in the
+	// same fixed order on every rank. The reference must agree with the
+	// overlapped exchange byte-for-byte.
+	inSeq, err := AlltoallvSeq(c, frames)
 	if err != nil {
 		return fmt.Errorf("alltoallv-seq: %w", err)
 	}
@@ -362,59 +351,36 @@ func batteryCollectives(c Comm) error {
 
 	// Fused per-iteration reduction: component-wise sum/max/max/sum. The
 	// expected values are exact in float64 (integers plus halves), so any
-	// combine association must reproduce them bit-for-bit.
-	st, err := AllreduceIterStats(c, IterStats{
-		Moved: int64(r + 1), Work: int64(2 * r), CommNS: int64(100 - r), Q: float64(r) + 0.5,
-	})
-	if err != nil {
-		return fmt.Errorf("iterstats: %w", err)
-	}
+	// combine association must reproduce them bit-for-bit. With slots the
+	// scalars must not change and every rank's slot must be reassembled.
 	wantStats := IterStats{
 		Moved:  int64(p * (p + 1) / 2),
 		Work:   int64(2 * (p - 1)),
 		CommNS: 100,
 		Q:      float64(p*(p-1)/2) + 0.5*float64(p),
 	}
-	if st != wantStats {
-		return fmt.Errorf("iterstats: rank %d got %+v want %+v", r, st, wantStats)
-	}
-
-	// Fused reduction with the work-vector piggyback: the scalar bundle must
-	// match AllreduceIterStats bit-for-bit and the vector must reassemble
-	// every rank's Work contribution in its slot.
-	workVec := make([]int64, p)
-	stw, err := AllreduceIterStatsWork(c, IterStats{
-		Moved: int64(r + 1), Work: int64(2 * r), CommNS: int64(100 - r), Q: float64(r) + 0.5,
-	}, workVec)
-	if err != nil {
-		return fmt.Errorf("iterstats-work: %w", err)
-	}
-	if stw != wantStats {
-		return fmt.Errorf("iterstats-work: rank %d got %+v want %+v", r, stw, wantStats)
-	}
-	for i := 0; i < p; i++ {
-		if workVec[i] != int64(2*i) {
-			return fmt.Errorf("iterstats-work: rank %d slot %d got %d want %d", r, i, workVec[i], 2*i)
+	for _, slots := range [][]int64{nil, make([]int64, p)} {
+		if slots != nil {
+			slots[r] = int64(3 * r)
+		}
+		st, err := AllreduceIterStats(c, IterStats{
+			Moved: int64(r + 1), Work: int64(2 * r), CommNS: int64(100 - r), Q: float64(r) + 0.5,
+		}, slots)
+		if err != nil {
+			return fmt.Errorf("iterstats slots=%v: %w", slots != nil, err)
+		}
+		if st != wantStats {
+			return fmt.Errorf("iterstats slots=%v: rank %d got %+v want %+v", slots != nil, r, st, wantStats)
+		}
+		for i := range slots {
+			if slots[i] != int64(3*i) {
+				return fmt.Errorf("iterstats: rank %d slot %d got %d want %d", r, i, slots[i], 3*i)
+			}
 		}
 	}
 
-	// Sequential-path counterpart: own slot set, zeros elsewhere, elementwise
-	// max reassembles the identical vector.
-	sparse := make([]int64, p)
-	sparse[r] = int64(2 * r)
-	maxVec, err := AllreduceInt64SliceMax(c, sparse)
-	if err != nil {
-		return fmt.Errorf("slicemax: %w", err)
-	}
-	for i := 0; i < p; i++ {
-		if maxVec[i] != workVec[i] {
-			return fmt.Errorf("slicemax: rank %d slot %d got %d want %d", r, i, maxVec[i], workVec[i])
-		}
-	}
-
-	// Migration exchange: exactly-once delivery with self first (overlapped)
-	// and byte-equality of the sequential baseline, mirroring the alltoallv
-	// checks above but on the migration tag.
+	// Migration exchange: exactly-once delivery with self first, mirroring
+	// the streaming alltoall check above but on the migration tag.
 	outM := make([][]byte, p)
 	for i := 0; i < p; i++ {
 		outM[i] = payload("mig", r, i)
@@ -440,63 +406,6 @@ func batteryCollectives(c Comm) error {
 	}
 	if callsM != p || firstM != r {
 		return fmt.Errorf("migration-exchange: rank %d calls=%d first=%d, want %d calls and self first", r, callsM, firstM, p)
-	}
-	inM, err := MigrationExchangeSeq(c, outM)
-	if err != nil {
-		return fmt.Errorf("migration-exchange-seq: %w", err)
-	}
-	for i := 0; i < p; i++ {
-		if want := payload("mig", i, r); !bytes.Equal(inM[i], want) {
-			return fmt.Errorf("migration-exchange-seq: rank %d from %d got %q want %q", r, i, inM[i], want)
-		}
-	}
-
-	// Pipelined ring and size-based selection over a 64-record u64 vector
-	// with an elementwise-max combine (an exact semilattice, so every
-	// algorithm must produce identical bytes). Fixed order once more: all
-	// three runs share tagReduce.
-	const nrec = 64
-	mineV := make([]byte, nrec*8)
-	wantV := make([]byte, nrec*8)
-	for i := 0; i < nrec; i++ {
-		binary.LittleEndian.PutUint64(mineV[i*8:], uint64(r*1000+i))
-		binary.LittleEndian.PutUint64(wantV[i*8:], uint64((p-1)*1000+i))
-	}
-	maxU64 := func(a, b []byte) []byte {
-		res := make([]byte, len(a))
-		for i := 0; i+8 <= len(a); i += 8 {
-			va, vb := binary.LittleEndian.Uint64(a[i:]), binary.LittleEndian.Uint64(b[i:])
-			if vb > va {
-				va = vb
-			}
-			binary.LittleEndian.PutUint64(res[i:], va)
-		}
-		return res
-	}
-	split8 := func(data []byte, n int) [][]byte {
-		segs := make([][]byte, n)
-		rec := len(data) / 8
-		for i := 0; i < n; i++ {
-			segs[i] = data[(i*rec/n)*8 : ((i+1)*rec/n)*8]
-		}
-		return segs
-	}
-	ringRuns := []struct {
-		name string
-		fn   func() ([]byte, error)
-	}{
-		{"ring-pipelined", func() ([]byte, error) { return AllreduceBytesRingPipelined(c, mineV, 8, split8, maxU64) }},
-		{"auto-ring", func() ([]byte, error) { return AllreduceBytesAuto(c, mineV, autoRingMinRecords, split8, maxU64) }},
-		{"auto-doubling", func() ([]byte, error) { return AllreduceBytesAuto(c, mineV, 1, split8, maxU64) }},
-	}
-	for _, v := range ringRuns {
-		res, err := v.fn()
-		if err != nil {
-			return fmt.Errorf("%s: %w", v.name, err)
-		}
-		if !bytes.Equal(res, wantV) {
-			return fmt.Errorf("%s: rank %d result diverges from elementwise max", v.name, r)
-		}
 	}
 
 	gath, err := Gather(c, 0, payload("root", r))
@@ -576,11 +485,11 @@ func batteryLossSafe(c Comm) error {
 	if got, want := binary.LittleEndian.Uint64(red), uint64(p*(p+1)/2); got != want {
 		return fmt.Errorf("allreduce: rank %d got %d want %d", r, got, want)
 	}
-	out := make([][]byte, p)
+	frames := make([][]byte, p)
 	for i := 0; i < p; i++ {
-		out[i] = payload("a2a", r, i)
+		frames[i] = payload("a2a", r, i)
 	}
-	in, err := Alltoallv(c, out)
+	in, err := Alltoallv(c, frames)
 	if err != nil {
 		return fmt.Errorf("alltoallv: %w", err)
 	}

@@ -19,6 +19,8 @@ import (
 //     peer is stalled past the deadline or a message was lost.
 //   - ErrRetriesExhausted: a retrying helper (Backoff.Retry, the TCP
 //     dialer) gave up after its attempt/time budget.
+//   - ErrMalformed: a peer's frame failed validation: a value outside
+//     its range, or a reduction result of the wrong shape.
 //
 // docs/ROBUSTNESS.md specifies the contract in full.
 var (
@@ -26,6 +28,7 @@ var (
 	ErrClosed           = errors.New("endpoint closed")
 	ErrTimeout          = errors.New("recv deadline exceeded")
 	ErrRetriesExhausted = errors.New("retries exhausted")
+	ErrMalformed        = errors.New("malformed frame")
 )
 
 // TransientError marks a failure worth retrying (a refused dial while the

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzAllreduceBytes drives both allreduce implementations through the
+// FuzzAllreduceBytes drives the recursive-doubling allreduce through the
 // in-process transport with fuzzer-chosen payloads and world sizes,
 // checking the result on every rank against a serially computed
 // expectation. The combine is bytewise addition over the common prefix
 // with the longer tail appended — deliberately length-asymmetric, because
-// the non-power-of-two fold and the ring segment exchange are where
-// length-handling bugs hide. Seeds cover the empty payload and the
+// the non-power-of-two fold is where length-handling bugs hide. Seeds cover the empty payload and the
 // single-rank world.
 func FuzzAllreduceBytes(f *testing.F) {
 	f.Add(1, []byte{})
@@ -65,23 +64,18 @@ func FuzzAllreduceBytes(f *testing.F) {
 			want = combine(want, contrib(r))
 		}
 
-		for _, impl := range []struct {
-			name string
-			fn   func(Comm, []byte, func(a, b []byte) []byte) ([]byte, error)
-		}{{"doubling", AllreduceBytes}, {"ring", AllreduceBytesRing}} {
-			err := RunWorld(p, func(c Comm) error {
-				got, err := impl.fn(c, contrib(c.Rank()), combine)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(got, want) {
-					return fmt.Errorf("%s: rank %d got %x want %x", impl.name, c.Rank(), got, want)
-				}
-				return nil
-			})
+		err := RunWorld(p, func(c Comm) error {
+			got, err := AllreduceBytes(c, contrib(c.Rank()), combine)
 			if err != nil {
-				t.Fatalf("p=%d len=%d: %v", p, len(base), err)
+				return err
 			}
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("rank %d got %x want %x", c.Rank(), got, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d len=%d: %v", p, len(base), err)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // Mid-solve vertex migration (docs/PERFORMANCE.md, "Dynamic load
@@ -69,135 +68,4 @@ func MigrationExchange(c Comm, out [][]byte, fn func(src int, payload []byte) er
 		}
 	}
 	return firstErr
-}
-
-// MigrationExchangeSeq is the sequential baseline of MigrationExchange:
-// p−1 blocking round-trips on tagMigrate, results indexed by source rank.
-// It pairs with Options.SequentialCollectives exactly like AlltoallvSeq
-// pairs with the overlapped alltoallv.
-func MigrationExchangeSeq(c Comm, out [][]byte) ([][]byte, error) {
-	p := c.Size()
-	if len(out) != p {
-		return nil, fmt.Errorf("comm: MigrationExchange needs %d buffers, got %d", p, len(out))
-	}
-	defer collDone(trace.CollMigrate, collStart(), framesLen(out))
-	r := c.Rank()
-	in := make([][]byte, p)
-	self := make([]byte, len(out[r]))
-	copy(self, out[r])
-	in[r] = self
-	for step := 1; step < p; step++ {
-		dst := (r + step) % p
-		src := (r - step + p) % p
-		if err := c.Send(dst, tagMigrate, out[dst]); err != nil {
-			return nil, err
-		}
-		got, err := c.Recv(src, tagMigrate)
-		if err != nil {
-			return nil, err
-		}
-		in[src] = got
-	}
-	return in, nil
-}
-
-// combineIterStatsWork merges two encoded IterStats+work-vector payloads:
-// the 32-byte header combines exactly like combineIterStats (sum, max,
-// max, operand-order-matched float sum) and the trailing fixed-width
-// int64 vector combines elementwise by max. Each rank contributes its own
-// work only in its own slot (zero elsewhere), so the elementwise max
-// reassembles the full per-rank vector; max is an exact semilattice, so
-// any reduction tree yields the identical bytes.
-func combineIterStatsWork(a, b []byte) []byte {
-	ra, rb := wire.NewReader(a), wire.NewReader(b)
-	s := wire.NewBuffer(len(a))
-	s.PutI64(ra.I64() + rb.I64())
-	wa, wb := ra.I64(), rb.I64()
-	if wb > wa {
-		wa = wb
-	}
-	s.PutI64(wa)
-	ca, cb := ra.I64(), rb.I64()
-	if cb > ca {
-		ca = cb
-	}
-	s.PutI64(ca)
-	// Same operand order as AllreduceFloat64Sum's combiner (accumulated +
-	// received), so the fused Q stays bit-identical to the standalone sum.
-	s.PutF64(ra.F64() + rb.F64())
-	for ra.Remaining() > 0 {
-		va, vb := ra.I64(), rb.I64()
-		if vb > va {
-			va = vb
-		}
-		s.PutI64(va)
-	}
-	return s.Bytes()
-}
-
-// AllreduceIterStatsWork is AllreduceIterStats extended with the per-rank
-// work vector the mid-solve rebalancer plans from: one fused collective
-// reduces the scalar bundle AND fills work with every rank's Work value
-// (work[r] = rank r's contribution), so the planning input is replicated
-// with no additional collective. work must have length Size(); its prior
-// contents are ignored. The scalar results are bit-identical to
-// AllreduceIterStats over the same inputs.
-func AllreduceIterStatsWork(c Comm, v IterStats, work []int64) (IterStats, error) {
-	p := c.Size()
-	if len(work) != p {
-		return IterStats{}, fmt.Errorf("comm: AllreduceIterStatsWork needs a work vector of length %d, got %d", p, len(work))
-	}
-	buf := wire.NewBuffer(iterStatsWireLen + 8*p)
-	buf.PutI64(v.Moved)
-	buf.PutI64(v.Work)
-	buf.PutI64(v.CommNS)
-	buf.PutF64(v.Q)
-	r := c.Rank()
-	for i := 0; i < p; i++ {
-		if i == r {
-			buf.PutI64(v.Work)
-		} else {
-			buf.PutI64(0)
-		}
-	}
-	out, err := AllreduceBytes(c, buf.Bytes(), combineIterStatsWork)
-	if err != nil {
-		return IterStats{}, err
-	}
-	rd := wire.NewReader(out)
-	res := IterStats{Moved: rd.I64(), Work: rd.I64(), CommNS: rd.I64(), Q: rd.F64()}
-	for i := 0; i < p; i++ {
-		work[i] = rd.I64()
-	}
-	return res, rd.Err()
-}
-
-// AllreduceInt64SliceMax reduces vs elementwise by max across all ranks
-// (every rank passes a vector of the same length and receives the
-// identical result). It is the sequential-collectives counterpart of the
-// work-vector piggyback in AllreduceIterStatsWork: each rank contributes
-// its own work in its own slot and zero elsewhere, and the elementwise
-// max reassembles the replicated per-rank vector.
-func AllreduceInt64SliceMax(c Comm, vs []int64) ([]int64, error) {
-	buf := wire.NewBuffer(len(vs)*8 + 8)
-	buf.PutI64s(vs)
-	out, err := AllreduceBytes(c, buf.Bytes(), func(a, b []byte) []byte {
-		va := wire.NewReader(a).I64s()
-		vb := wire.NewReader(b).I64s()
-		if len(va) != len(vb) {
-			panic(fmt.Sprintf("comm: allreduce slice length mismatch %d vs %d", len(va), len(vb)))
-		}
-		for i := range va {
-			if vb[i] > va[i] {
-				va[i] = vb[i]
-			}
-		}
-		s := wire.NewBuffer(len(va)*8 + 8)
-		s.PutI64s(va)
-		return s.Bytes()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wire.NewReader(out).I64s(), nil
 }

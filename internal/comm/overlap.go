@@ -7,16 +7,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Overlapped collectives. The sequential collectives in collectives.go
-// serialize p−1 blocking round-trips, so per-call latency grows like
-// p·(one-way latency). The variants here post every outbound frame before
-// waiting on any inbound one — Send never blocks (all transports buffer
-// internally) — so the p−1 transfers are in flight concurrently and the
-// call waits for the slowest peer instead of the sum of all peers.
+// Overlapped collectives. A sequential exchange would serialize p−1
+// blocking round-trips, so per-call latency would grow like p·(one-way
+// latency). The variants here post every outbound frame before waiting on
+// any inbound one — Send never blocks (all transports buffer internally) —
+// so the p−1 transfers are in flight concurrently and the call waits for
+// the slowest peer instead of the sum of all peers.
 //
 // Determinism: results are indexed by source rank, so callers observe the
-// same (src, payload) mapping as with the sequential variants no matter
-// in which order frames arrive. AlltoallvFunc additionally streams
+// same (src, payload) mapping as a sequential exchange no matter in which
+// order frames arrive. AlltoallvFunc additionally streams
 // payloads to a callback in arrival order; that is safe exactly when the
 // callback's effect is independent of invocation order (disjoint writes
 // per source rank, or order-insensitive combining). docs/PERFORMANCE.md
@@ -28,8 +28,8 @@ import (
 // have length Size(); out[Rank()] is returned unchanged (copied).
 //
 // All p−1 sends are posted before the first receive, then peers are
-// drained in rank-index order; the result is byte-identical to
-// AlltoallvSeq at max-over-peers latency instead of sum-over-peers.
+// drained in rank-index order; the result is byte-identical to a
+// sequential exchange at max-over-peers latency instead of sum-over-peers.
 func Alltoallv(c Comm, out [][]byte) ([][]byte, error) {
 	return AlltoallvInto(c, out, nil)
 }
@@ -136,8 +136,8 @@ func AlltoallvFunc(c Comm, out [][]byte, fn func(src int, payload []byte) error)
 	return firstErr
 }
 
-// IterStats is the per-iteration scalar bundle of the stage-1 clustering
-// loop. Reducing it as one collective replaces four back-to-back scalar
+// IterStats is the per-iteration scalar bundle of the clustering loop.
+// Reducing it as one collective replaces four back-to-back scalar
 // allreduces (4 × log p latency terms) with one. Each field carries its
 // own reduction: Moved and Q are summed, Work and CommNS are maximized.
 type IterStats struct {
@@ -153,158 +153,73 @@ type IterStats struct {
 
 const iterStatsWireLen = 32 // 3×int64 + 1×float64, fixed-width
 
-func combineIterStats(a, b []byte) []byte {
-	ra, rb := wire.NewReader(a), wire.NewReader(b)
-	s := wire.NewBuffer(iterStatsWireLen)
-	s.PutI64(ra.I64() + rb.I64())
-	wa, wb := ra.I64(), rb.I64()
-	if wb > wa {
-		wa = wb
+// combineIterStats returns the combine of AllreduceIterStats for frames of
+// exactly want bytes: the 32-byte header combines sum/max/max/sum and the
+// trailing int64 slots elementwise by max. An operand of any other length
+// (a short or foreign peer frame) yields an empty poison frame, which
+// fails the length check of every later combine, so recursive doubling
+// carries it to every rank and each rank's decode reports it.
+func combineIterStats(want int) func(a, b []byte) []byte {
+	return func(a, b []byte) []byte {
+		if len(a) != want || len(b) != want {
+			return nil
+		}
+		ra, rb := wire.NewReader(a), wire.NewReader(b)
+		s := wire.NewBuffer(want)
+		s.PutI64(ra.I64() + rb.I64())
+		s.PutI64(max(ra.I64(), rb.I64()))
+		s.PutI64(max(ra.I64(), rb.I64()))
+		// Same operand order as AllreduceFloat64Sum's combiner (accumulated
+		// + received) over the same reduction tree, so the fused Q is
+		// bit-identical to the standalone float sum.
+		s.PutF64(ra.F64() + rb.F64())
+		for ra.Remaining() > 0 {
+			s.PutI64(max(ra.I64(), rb.I64()))
+		}
+		return s.Bytes()
 	}
-	s.PutI64(wa)
-	ca, cb := ra.I64(), rb.I64()
-	if cb > ca {
-		ca = cb
-	}
-	s.PutI64(ca)
-	// Same operand order as AllreduceFloat64Sum's combiner (accumulated +
-	// received) over the same reduction tree, so the fused Q is
-	// bit-identical to the standalone float sum.
-	s.PutF64(ra.F64() + rb.F64())
-	return s.Bytes()
 }
 
 // AllreduceIterStats reduces v across all ranks in a single collective:
 // component-wise sum/max/max/sum. The float component follows the exact
 // combine tree of AllreduceFloat64Sum, so fused and unfused reductions
 // produce bit-identical modularity values.
-func AllreduceIterStats(c Comm, v IterStats) (IterStats, error) {
-	buf := wire.NewBuffer(iterStatsWireLen)
+//
+// slots, when non-nil, must have length Size() and rides the same frame
+// (32 + 8·Size() bytes instead of 32): each rank contributes its
+// non-negative slots[Rank()] in its own slot and zero elsewhere, the
+// combine takes the elementwise max, and on return slots[r] holds rank r's
+// value on every rank. The other entries' prior contents are ignored, and
+// the scalar results are bit-identical to a call without slots.
+func AllreduceIterStats(c Comm, v IterStats, slots []int64) (IterStats, error) {
+	p, r := c.Size(), c.Rank()
+	if slots != nil && len(slots) != p {
+		return IterStats{}, fmt.Errorf("comm: AllreduceIterStats needs %d slots, got %d", p, len(slots))
+	}
+	want := iterStatsWireLen + 8*len(slots)
+	buf := wire.NewBuffer(want)
 	buf.PutI64(v.Moved)
 	buf.PutI64(v.Work)
 	buf.PutI64(v.CommNS)
 	buf.PutF64(v.Q)
-	out, err := AllreduceBytes(c, buf.Bytes(), combineIterStats)
+	for i := range slots {
+		if i == r {
+			buf.PutI64(slots[i])
+		} else {
+			buf.PutI64(0)
+		}
+	}
+	out, err := AllreduceBytes(c, buf.Bytes(), combineIterStats(want))
 	if err != nil {
 		return IterStats{}, err
 	}
+	if len(out) != want {
+		return IterStats{}, fmt.Errorf("comm: rank %d: iteration-stats reduction returned %d bytes, want %d: %w", r, len(out), want, ErrMalformed)
+	}
 	rd := wire.NewReader(out)
 	res := IterStats{Moved: rd.I64(), Work: rd.I64(), CommNS: rd.I64(), Q: rd.F64()}
+	for i := range slots {
+		slots[i] = rd.I64()
+	}
 	return res, rd.Err()
-}
-
-// SplitFunc partitions an encoded payload into exactly n contiguous
-// segments whose concatenation is the original payload. Segments must be
-// record-aligned, and the assignment of logical records to segment indices
-// must be identical on every rank: ranks may encode the same record in
-// different byte counts (varints), so the split must be driven by record
-// boundaries, never by byte offsets.
-type SplitFunc func(data []byte, n int) [][]byte
-
-// AllreduceBytesRingPipelined is AllreduceBytesRing with the payload cut
-// into segments that move through the ring independently: while a rank
-// combines segment k it already forwards segment k−1 and receives segment
-// k+1, so for payloads much larger than a frame the bandwidth term is
-// pipelined across the p−1 steps instead of serialized. combine is applied
-// per segment and must therefore tolerate partial payloads (whole records,
-// not the full vector) — and, like every multi-algorithm reduction here,
-// must be exactly associative and commutative (e.g. max/argmax
-// semilattices), because the segment combine order differs from both the
-// plain ring and recursive doubling.
-func AllreduceBytesRingPipelined(c Comm, data []byte, segments int, split SplitFunc, combine func(a, b []byte) []byte) ([]byte, error) {
-	p := c.Size()
-	if p == 1 {
-		return data, nil
-	}
-	if segments < 2 || split == nil {
-		return AllreduceBytesRing(c, data, combine)
-	}
-	defer collDone(trace.CollAllreduceRing, collStart(), int64(len(data)))
-	r := c.Rank()
-	next := (r + 1) % p
-	prev := (r - 1 + p) % p
-	segs := split(data, segments)
-	if len(segs) != segments {
-		return nil, fmt.Errorf("comm: pipelined ring split returned %d segments, want %d", len(segs), segments)
-	}
-	// Reduce pass. Per segment this is the plain ring's reduce phase; the
-	// per-pair FIFO guarantee keeps segment k ahead of segment k+1 on every
-	// link, so no sequence numbers are needed.
-	if r == 0 {
-		for k := range segs {
-			if err := c.Send(next, tagReduce, segs[k]); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for k := range segs {
-			got, err := c.Recv(prev, tagReduce)
-			if err != nil {
-				return nil, err
-			}
-			segs[k] = combine(segs[k], got)
-			if err := c.Send(next, tagReduce, segs[k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Broadcast pass: the fully combined segments circulate once more,
-	// again pipelined — each rank forwards segment k while waiting for
-	// segment k+1.
-	for k := range segs {
-		got, err := c.Recv(prev, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		segs[k] = got
-		if r != p-1 {
-			if err := c.Send(next, tagReduce, segs[k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	total := 0
-	for _, sg := range segs {
-		total += len(sg)
-	}
-	out := make([]byte, 0, total)
-	for _, sg := range segs {
-		out = append(out, sg...)
-	}
-	return out, nil
-}
-
-// Algorithm-selection thresholds for AllreduceBytesAuto. Small payloads are
-// latency-bound: recursive doubling finishes in log₂ p steps and wins.
-// Large payloads are bandwidth-bound: the pipelined ring overlaps transfer
-// and combine across the p−1 steps. The crossover is expressed in records
-// (not bytes — see AllreduceBytesAuto) and was chosen from
-// BenchmarkAllreduceRingPipelined; it errs high so only clearly
-// bandwidth-bound reductions take the ring path.
-const (
-	// autoRingMinRecords is the record count at and above which
-	// AllreduceBytesAuto routes through the pipelined ring.
-	autoRingMinRecords = 4096
-	// autoRingSegments is the pipeline depth used for the ring path.
-	autoRingSegments = 8
-)
-
-// AllreduceBytesAuto picks the reduction algorithm by payload size:
-// recursive doubling (AllreduceBytes) below autoRingMinRecords, the
-// pipelined ring at or above it. records MUST be a rank-invariant measure
-// of the payload — a replicated logical record count — never len(data):
-// varint encodings give ranks different byte counts for the same records,
-// and ranks disagreeing on the algorithm would deadlock. Because the two
-// algorithms combine in different orders, combine must be exactly
-// associative and commutative (integer/semilattice reductions; not
-// floating-point sums).
-func AllreduceBytesAuto(c Comm, data []byte, records int, split SplitFunc, combine func(a, b []byte) []byte) ([]byte, error) {
-	if records >= autoRingMinRecords && c.Size() > 2 && split != nil {
-		segs := autoRingSegments
-		if records < segs {
-			segs = records
-		}
-		return AllreduceBytesRingPipelined(c, data, segs, split, combine)
-	}
-	return AllreduceBytes(c, data, combine)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -63,41 +64,82 @@ func TestCombineHubProposalsCommutative(t *testing.T) {
 	}
 }
 
+// goldenStages runs fn on a fresh stage per rank of a p-rank world over
+// the golden graph (1-D partitioning).
+func goldenStages(t *testing.T, p int, fn func(st *stage) error) {
+	t.Helper()
+	layout, err := partition.Build(goldenGraph(t), partition.Options{P: p, Kind: partition.OneD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Options{P: p, Partitioning: partition.OneD}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = comm.RunWorld(p, func(c comm.Comm) error {
+		st := newStage(c, layout.Parts[c.Rank()], opt)
+		defer st.close()
+		return fn(st)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestResolveQueries(t *testing.T) {
-	for _, seq := range []bool{false, true} {
-		err := comm.RunWorld(4, func(c comm.Comm) error {
-			// lookup(x) = x*10 computed at owner x%4
-			queries := []int{c.Rank(), 7, 0, 13, c.Rank() + 4}
-			res, err := resolveQueries(c, queries, func(x int) int { return x % 4 }, func(x int) int { return x * 10 }, seq)
+	goldenStages(t, 4, func(st *stage) error {
+		// lookup(x) = x*10 computed at owner x%4; two rounds reuse the
+		// stage's pooled buffers.
+		for round := 0; round < 2; round++ {
+			queries := []int{st.rnk, 7, 0, 13, st.rnk + 4 + round}
+			res, err := st.resolveQueries(queries, func(x int) int { return x % 4 }, func(x int) int { return x * 10 })
 			if err != nil {
 				return err
 			}
 			for i, x := range queries {
 				if res[i] != x*10 {
-					t.Errorf("seq=%v rank %d: res[%d] = %d, want %d", seq, c.Rank(), i, res[i], x*10)
+					return fmt.Errorf("rank %d round %d: res[%d] = %d, want %d", st.rnk, round, i, res[i], x*10)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestResolveQueriesEmpty(t *testing.T) {
-	err := comm.RunWorld(3, func(c comm.Comm) error {
-		res, err := resolveQueries(c, nil, func(x int) int { return x % 3 }, func(x int) int { return x }, false)
-		if err != nil {
-			return err
-		}
-		if len(res) != 0 {
-			t.Errorf("res = %v", res)
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestResolveQueriesEmpty(t *testing.T) {
+	goldenStages(t, 3, func(st *stage) error {
+		res, err := st.resolveQueries(nil, func(x int) int { return x % 3 }, func(x int) int { return x })
+		if err == nil && len(res) != 0 {
+			err = fmt.Errorf("res = %v", res)
+		}
+		return err
+	})
+}
+
+// TestFetchRejectsForeignCommunityIDs sends rank 0 Σtot requests it must
+// not index: ids outside [0, n) and an id owned by rank 1. The answer
+// kernel must turn each into comm.ErrMalformed instead of panicking a
+// pool goroutine.
+func TestFetchRejectsForeignCommunityIDs(t *testing.T) {
+	for _, bad := range []func(n int) int{
+		func(n int) int { return -2 },
+		func(n int) int { return n + n%2 },
+		func(n int) int { return 1 },
+	} {
+		goldenStages(t, 2, func(st *stage) error {
+			if st.rnk == 0 {
+				if err := st.fetchCommunityInfo(); !errors.Is(err, comm.ErrMalformed) {
+					return fmt.Errorf("request for %d: err = %v, want ErrMalformed", bad(st.n), err)
+				}
+				return nil
+			}
+			// Rank 1 plays a hostile peer for the request leg only: rank 0
+			// fails before the reply leg.
+			req := wire.NewBuffer(0)
+			req.PutInts([]int{0, bad(st.n)})
+			_, err := comm.Alltoallv(st.c, [][]byte{req.Bytes(), nil})
+			return err
+		})
 	}
 }
 
@@ -379,9 +421,9 @@ func dumpCoarse(sg *partition.Subgraph, k int, dense []int32) string {
 // the retained seed implementation (merge_seed_test.go) on the same
 // converged stage and demands byte-identical coarse subgraphs — weights
 // compared as raw float bits — across the full configuration matrix:
-// workers {1,4} x sequential/overlapped collectives x both partitionings x
-// P {1,2,4}. For a fixed (partitioning, P) the coarse graph must also be
-// identical across engines and worker counts, per the determinism regime.
+// workers {1,4} x both partitionings x P {1,2,4}. For a fixed
+// (partitioning, P) the coarse graph must also be identical across worker
+// counts, per the determinism regime.
 func TestMergeMatchesSeedCrossMatrix(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(400, 0.25, 91))
 	if err != nil {
@@ -393,50 +435,48 @@ func TestMergeMatchesSeedCrossMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []string // per-rank dumps from the first engine config
-			for _, seq := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("kind=%d/p=%d/seq=%v/w=%d", kind, p, seq, workers)
-					opt, err := (Options{P: p, Workers: workers, DHigh: 40, Partitioning: kind, SequentialCollectives: seq}).withDefaults()
-					if err != nil {
-						t.Fatal(err)
+			var want []string // per-rank dumps from the first worker count
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("kind=%d/p=%d/w=%d", kind, p, workers)
+				opt, err := (Options{P: p, Workers: workers, DHigh: 40, Partitioning: kind}).withDefaults()
+				if err != nil {
+					t.Fatal(err)
+				}
+				dumps := make([]string, p)
+				err = comm.RunWorld(p, func(c comm.Comm) error {
+					st := newStage(c, layout.Parts[c.Rank()], opt)
+					defer st.close()
+					if _, err := st.cluster(); err != nil {
+						return err
 					}
-					dumps := make([]string, p)
-					err = comm.RunWorld(p, func(c comm.Comm) error {
-						st := newStage(c, layout.Parts[c.Rank()], opt)
-						defer st.close()
-						if _, err := st.cluster(); err != nil {
-							return err
-						}
-						seedSG, seedK, err := st.mergeSeed()
-						if err != nil {
-							return err
-						}
-						seedDump := dumpCoarse(seedSG, seedK, st.dense)
-						newSG, k, err := st.merge()
-						if err != nil {
-							return err
-						}
-						got := dumpCoarse(newSG, k, st.dense)
-						if got != seedDump {
-							t.Errorf("%s rank %d: merge() differs from seed:\nnew:\n%sseed:\n%s", name, c.Rank(), got, seedDump)
-						}
-						if !reflect.DeepEqual(newSG, seedSG) {
-							t.Errorf("%s rank %d: DeepEqual mismatch between merge() and seed subgraphs", name, c.Rank())
-						}
-						dumps[c.Rank()] = got
-						return nil
-					})
+					seedSG, seedK, err := st.mergeSeed()
 					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+						return err
 					}
-					if want == nil {
-						want = dumps
-					} else {
-						for r := range dumps {
-							if dumps[r] != want[r] {
-								t.Errorf("%s rank %d: coarse graph differs from first engine config of this (kind, p)", name, r)
-							}
+					seedDump := dumpCoarse(seedSG, seedK, st.dense)
+					newSG, k, err := st.merge()
+					if err != nil {
+						return err
+					}
+					got := dumpCoarse(newSG, k, st.dense)
+					if got != seedDump {
+						t.Errorf("%s rank %d: merge() differs from seed:\nnew:\n%sseed:\n%s", name, c.Rank(), got, seedDump)
+					}
+					if !reflect.DeepEqual(newSG, seedSG) {
+						t.Errorf("%s rank %d: DeepEqual mismatch between merge() and seed subgraphs", name, c.Rank())
+					}
+					dumps[c.Rank()] = got
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if want == nil {
+					want = dumps
+				} else {
+					for r := range dumps {
+						if dumps[r] != want[r] {
+							t.Errorf("%s rank %d: coarse graph differs from first worker count of this (kind, p)", name, r)
 						}
 					}
 				}

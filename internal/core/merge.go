@@ -153,7 +153,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		b.PutInts(reqs[r])
 		out[r] = b.Bytes()
 	}
-	in, err := s.alltoallv(out)
+	in, err := comm.AlltoallvInto(s.c, out, s.recvIn)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -185,7 +185,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	ms.dense = s.dense
 	fillInt32(s.dense, -1)
-	err = s.alltoallvFunc(replies, func(src int, payload []byte) error {
+	err = comm.AlltoallvFunc(s.c, replies, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, c := range reqs[src] {
 			s.dense[c] = int32(rd.Varint())
@@ -340,7 +340,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		}
 		arcBufs[d] = b.Bytes()
 	})
-	arcIn, err := s.alltoallv(arcBufs)
+	arcIn, err := comm.AlltoallvInto(s.c, arcBufs, s.recvIn)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -689,11 +689,15 @@ func scatterFused(x, y []int32, w []float64, lo, hi int, p, rowsCap int32, h []i
 	}
 }
 
-// resolveQueries is the stage-scratch form of the package-level
-// resolveQueries below: identical wire bytes and collective schedule, but
-// the request routing slices and both legs' encode buffers are pooled on
-// the stage, so repeated calls (one per merge level, one per update batch)
-// allocate only the result slice.
+// resolveQueries maps each query x to lookup(x) evaluated on the rank
+// route(x) that owns x, via a request/reply all-to-all exchange. Both legs
+// stream: each request frame is answered as it arrives (the reply for
+// source r depends only on r's frame), and each reply is scattered into
+// the result as it lands (position buckets are disjoint), so decode and
+// encode work overlaps in-flight traffic. The request routing slices and
+// both legs' encode buffers are pooled on the stage, so repeated calls
+// (install, one per merge level, one per update batch) allocate only the
+// result slice.
 func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]int, error) {
 	for r := 0; r < s.p; r++ {
 		s.rqReqs[r] = s.rqReqs[r][:0]
@@ -716,7 +720,7 @@ func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]in
 		s.rqBufs[r].Reset()
 		s.rqFrames[r] = nil
 	}
-	err := a2aFunc(s.c, s.opt.SequentialCollectives, out, func(src int, payload []byte) error {
+	err := comm.AlltoallvFunc(s.c, out, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		ids := rd.Ints()
 		if err := rd.Err(); err != nil {
@@ -733,68 +737,9 @@ func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]in
 		return nil, err
 	}
 	res := make([]int, len(queries))
-	err = a2aFunc(s.c, s.opt.SequentialCollectives, s.rqFrames, func(src int, payload []byte) error {
+	err = comm.AlltoallvFunc(s.c, s.rqFrames, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, i := range s.rqPos[src] {
-			res[i] = int(rd.Varint())
-		}
-		return rd.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// resolveQueries maps each query x to lookup(x) evaluated on the rank
-// route(x) that currently owns x (the stage's ownerOf — static x mod P
-// until a migration builds the directory), via a request/reply all-to-all
-// exchange. Both legs
-// stream: each request frame is answered as it arrives (the reply for
-// source r depends only on r's frame), and each reply is scattered into
-// the result as it lands (pos buckets are disjoint), so seq=false overlaps
-// all decode/encode work with in-flight traffic; seq=true is the
-// sequential baseline (Options.SequentialCollectives).
-//
-// The solve loop and the update path go through the stage method above;
-// this standalone form serves callers without a live stage (Session.install
-// runs once per solve, before the resident stage exists).
-func resolveQueries(c comm.Comm, queries []int, route, lookup func(int) int, seq bool) ([]int, error) {
-	p := c.Size()
-	reqs := make([][]int, p)
-	pos := make([][]int, p) // original index of each routed query
-	for i, x := range queries {
-		o := route(x)
-		reqs[o] = append(reqs[o], x)
-		pos[o] = append(pos[o], i)
-	}
-	out := make([][]byte, p)
-	for r := 0; r < p; r++ {
-		b := wire.NewBuffer(0)
-		b.PutInts(reqs[r])
-		out[r] = b.Bytes()
-	}
-	replies := make([][]byte, p)
-	err := a2aFunc(c, seq, out, func(src int, payload []byte) error {
-		rd := wire.NewReader(payload)
-		ids := rd.Ints()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		b := wire.NewBuffer(0)
-		for _, x := range ids {
-			b.PutVarint(int64(lookup(x)))
-		}
-		replies[src] = b.Bytes()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]int, len(queries))
-	err = a2aFunc(c, seq, replies, func(src int, payload []byte) error {
-		rd := wire.NewReader(payload)
-		for _, i := range pos[src] {
 			res[i] = int(rd.Varint())
 		}
 		return rd.Err()

@@ -51,7 +51,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 		b.PutInts(reqs[r])
 		out[r] = b.Bytes()
 	}
-	in, err := s.alltoallv(out)
+	in, err := comm.AlltoallvInto(s.c, out, s.recvIn)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -76,7 +76,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 	for i := range s.dense {
 		s.dense[i] = -1
 	}
-	err = s.alltoallvFunc(replies, func(src int, payload []byte) error {
+	err = comm.AlltoallvFunc(s.c, replies, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, c := range reqs[src] {
 			s.dense[c] = int32(rd.Varint())
@@ -108,7 +108,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 	for r := 0; r < s.p; r++ {
 		arcBufs[r] = s.sendBufs[r].Bytes()
 	}
-	arcIn, err := s.alltoallv(arcBufs)
+	arcIn, err := comm.AlltoallvInto(s.c, arcBufs, s.recvIn)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -161,27 +161,6 @@ type migrant struct {
 	to int
 }
 
-// migExchange dispatches the migration all-to-all between the overlapped
-// collective and the sequential baseline, mirroring a2aFunc. The sequential
-// fallback calls fn in rank order; the overlapped path streams arrivals, so
-// fn must be order-independent (both callers below buffer per source or
-// write disjoint state).
-func (s *stage) migExchange(out [][]byte, fn func(src int, payload []byte) error) error {
-	if !s.opt.SequentialCollectives {
-		return comm.MigrationExchange(s.c, out, fn)
-	}
-	in, err := comm.MigrationExchangeSeq(s.c, out)
-	if err != nil {
-		return err
-	}
-	for r := 0; r < s.p; r++ {
-		if err := fn(r, in[r]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // inboundMigrant is one decoded vertex arrival, buffered so application can
 // run in sorted vertex order regardless of frame arrival order.
 type inboundMigrant struct {
@@ -271,7 +250,7 @@ func (s *stage) migrate(iter int, moves []rebalance.Move) error {
 		out[r] = s.sendBufs[r].Bytes()
 	}
 	var arrived []inboundMigrant
-	err = s.migExchange(out, func(src int, payload []byte) error {
+	err = comm.MigrationExchange(s.c, out, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for rd.Remaining() > 0 {
 			var in inboundMigrant
@@ -336,7 +315,7 @@ func (s *stage) migrate(iter int, moves []rebalance.Move) error {
 		work += int64(len(reqs[r]))
 	}
 	gotReqs := make([][]int, s.p)
-	err = s.migExchange(out, func(src int, payload []byte) error {
+	err = comm.MigrationExchange(s.c, out, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		gotReqs[src] = rd.Ints()
 		return rd.Err()
@@ -358,7 +337,7 @@ func (s *stage) migrate(iter int, moves []rebalance.Move) error {
 		out[r] = b.Bytes()
 		work += int64(len(gotReqs[r]))
 	}
-	err = s.migExchange(out, func(src int, payload []byte) error {
+	err = comm.MigrationExchange(s.c, out, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, u := range reqs[src] {
 			s.comm[u] = int32(rd.Varint())

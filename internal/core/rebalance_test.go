@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -13,9 +12,9 @@ import (
 
 // Tests for mid-solve vertex migration (migrate.go): the off-switch must be
 // byte-identical to the pre-feature solver, every (policy, seed) pair must
-// be bit-identical across worker counts, collective engines, transports,
-// and benign chaos, and on the planted-hub fixture the trigger must
-// actually fire (so none of the above is vacuous).
+// be bit-identical across worker counts, transports, and benign chaos, and
+// on the planted-hub fixture the trigger must actually fire (so none of the
+// above is vacuous).
 
 // skewedGraph is the planted-hub load-imbalance fixture: under 1-D
 // round-robin partitioning at P=4, every hub lands on rank 0.
@@ -107,25 +106,20 @@ func TestRebalanceOffMatchesGolden(t *testing.T) {
 func TestRebalanceNoneMatchesOff(t *testing.T) {
 	g, _ := skewedGraph(t)
 	for _, pk := range []partition.Kind{partition.Delegate, partition.OneD} {
-		for _, seq := range []bool{false, true} {
-			off := Options{P: 4, Partitioning: pk, SequentialCollectives: seq}
-			want, err := Run(g, off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			on := rebalanceOpt(4, pk, "none")
-			on.SequentialCollectives = seq
-			got, err := Run(g, on)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("part=%v seq=%v", pk, seq)
-			if got.RebalanceEvents != 0 {
-				t.Fatalf("%s: none policy migrated", label)
-			}
-			got.RebalanceEvents, got.MigratedVertices = want.RebalanceEvents, want.MigratedVertices
-			sameRun(t, label, got, want)
+		want, err := Run(g, Options{P: 4, Partitioning: pk})
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := Run(g, rebalanceOpt(4, pk, "none"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("part=%v", pk)
+		if got.RebalanceEvents != 0 {
+			t.Fatalf("%s: none policy migrated", label)
+		}
+		got.RebalanceEvents, got.MigratedVertices = want.RebalanceEvents, want.MigratedVertices
+		sameRun(t, label, got, want)
 	}
 }
 
@@ -156,8 +150,8 @@ func TestRebalanceTriggersOnSkew(t *testing.T) {
 }
 
 // TestRebalanceDeterminism is the contract of docs/PERFORMANCE.md: any
-// fixed (policy, seed) pair is bit-identical across worker counts and both
-// collective engines, for every P × partitioning combination, on both the
+// fixed (policy, seed) pair is bit-identical across worker counts, for
+// every P × partitioning combination, on both the
 // golden graph, the skewed planted-hub fixture, and a skewed R-MAT.
 func TestRebalanceDeterminism(t *testing.T) {
 	gGolden := goldenGraph(t)
@@ -173,23 +167,13 @@ func TestRebalanceDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatalf("g=%d part=%v p=%d %s: %v", gi, pk, p, policy, err)
 					}
-					variants := []struct {
-						name string
-						mut  func(*Options)
-					}{
-						{"workers=4", func(o *Options) { o.Workers = 4 }},
-						{"seq", func(o *Options) { o.SequentialCollectives = true }},
-						{"seq+workers=4", func(o *Options) { o.SequentialCollectives = true; o.Workers = 4 }},
+					opt := base
+					opt.Workers = 4
+					got, err := Run(g, opt)
+					if err != nil {
+						t.Fatalf("g=%d part=%v p=%d %s workers=4: %v", gi, pk, p, policy, err)
 					}
-					for _, v := range variants {
-						opt := base
-						v.mut(&opt)
-						got, err := Run(g, opt)
-						if err != nil {
-							t.Fatalf("g=%d part=%v p=%d %s %s: %v", gi, pk, p, policy, v.name, err)
-						}
-						sameRun(t, fmt.Sprintf("g=%d part=%v p=%d %s %s", gi, pk, p, policy, v.name), got, want)
-					}
+					sameRun(t, fmt.Sprintf("g=%d part=%v p=%d %s workers=4", gi, pk, p, policy), got, want)
 				}
 			}
 		}
@@ -233,18 +217,13 @@ func TestRebalanceChaosDeterminism(t *testing.T) {
 		t.Fatal("fixture did not trigger migration; chaos coverage is vacuous")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		for _, seq := range []bool{false, true} {
-			o := opt
-			o.SequentialCollectives = seq
-			m, q := chaosRun(t, g, o, benignCoreChaos(seed))
-			if q != clean.Modularity {
-				t.Fatalf("seq=%v chaos seed %d: Q %.17g, clean %.17g", seq, seed, q, clean.Modularity)
-			}
-			for u := range m {
-				if m[u] != clean.Membership[u] {
-					t.Fatalf("seq=%v chaos seed %d vertex %d: community %d, clean %d",
-						seq, seed, u, m[u], clean.Membership[u])
-				}
+		m, q := chaosRun(t, g, opt, benignCoreChaos(seed))
+		if q != clean.Modularity {
+			t.Fatalf("chaos seed %d: Q %.17g, clean %.17g", seed, q, clean.Modularity)
+		}
+		for u := range m {
+			if m[u] != clean.Membership[u] {
+				t.Fatalf("chaos seed %d vertex %d: community %d, clean %d", seed, u, m[u], clean.Membership[u])
 			}
 		}
 	}
@@ -270,55 +249,16 @@ func TestRebalanceAggregateReconciliation(t *testing.T) {
 }
 
 // TestRebalanceMessageBudget pins the collective-schedule cost of merely
-// enabling the feature: on the fused path the work vector piggybacks on the
-// existing per-iteration reduction (message count unchanged); the
-// sequential baseline adds exactly one more allreduce (log2 P messages per
-// rank). A threshold that never fires keeps migration exchanges out of the
-// count. Merged (stage-2) stages run with migration off by design (see
-// run.go) and are excluded via s.pol.
+// enabling the feature: the work vector piggybacks on the fused
+// per-iteration reduction, so the message count is unchanged from
+// TestIterationSingleAllreduce. A threshold that never fires keeps
+// migration exchanges out of the count. Merged (stage-2) stages run with
+// migration off by design (see run.go) and are excluded via s.pol.
 func TestRebalanceMessageBudget(t *testing.T) {
-	g := goldenGraph(t)
 	const p = 4
-	for _, tc := range []struct {
-		name string
-		seq  bool
-		want int64
-	}{
-		{"fused", false, 4*(p-1) + 2},
-		{"sequential", true, 4*(p-1) + 5*2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			recs := make(map[*stage][]int64)
-			testIterHook = func(s *stage, iter int, q float64) error {
-				if s.p != p || s.pol == nil {
-					return nil
-				}
-				snap := s.c.Stats().Snapshot()
-				mu.Lock()
-				recs[s] = append(recs[s], snap.MsgsSent)
-				mu.Unlock()
-				return nil
-			}
-			defer func() { testIterHook = nil }()
-			opt := rebalanceOpt(p, partition.OneD, "greedy")
-			opt.RebalanceRatio = 1e9 // trigger machinery on, but never fires
-			opt.SequentialCollectives = tc.seq
-			if _, err := Run(g, opt); err != nil {
-				t.Fatal(err)
-			}
-			pairs := 0
-			for _, ms := range recs {
-				for i := 1; i < len(ms); i++ {
-					if d := ms[i] - ms[i-1]; d != tc.want {
-						t.Fatalf("iteration sent %d messages per rank, want %d", d, tc.want)
-					}
-					pairs++
-				}
-			}
-			if pairs == 0 {
-				t.Fatal("no stage ran two consecutive iterations; the budget was never checked")
-			}
-		})
-	}
+	t.Run("fused", func(t *testing.T) {
+		opt := rebalanceOpt(p, partition.OneD, "greedy")
+		opt.RebalanceRatio = 1e9 // trigger machinery on, but never fires
+		checkIterationBudget(t, opt, func(s *stage) bool { return s.pol != nil }, 4*(p-1)+2)
+	})
 }

@@ -89,65 +89,24 @@ func (s *stage) cluster() (stageResult, error) {
 		snapEnd := s.c.Stats().Snapshot()
 		commNS := s.opt.Comm.costNS(snapEnd.MsgsSent-snapStart.MsgsSent,
 			snapEnd.BytesSent-snapStart.BytesSent)
-		var q float64
-		var movedTotal, maxWork, maxComm int64
-		if s.opt.SequentialCollectives {
-			// Unfused baseline: four back-to-back scalar allreduces. Each
-			// float combine tree matches its fused counterpart, so both
-			// paths produce bit-identical results.
-			var err error
-			if q, err = comm.AllreduceFloat64Sum(s.c, local); err != nil {
-				return res, err
-			}
-			if movedTotal, err = comm.AllreduceInt64Sum(s.c, int64(movedLocal+hubMoved)); err != nil {
-				return res, err
-			}
-			if maxWork, err = comm.AllreduceInt64Max(s.c, iterWork); err != nil {
-				return res, err
-			}
-			if maxComm, err = comm.AllreduceInt64Max(s.c, commNS); err != nil {
-				return res, err
-			}
-			if s.pol != nil {
-				// Sequential counterpart of the work-vector piggyback: one
-				// extra sparse elementwise-max allreduce replicates the
-				// per-rank work vector for the rebalance planner.
-				for i := range s.workVec {
-					s.workVec[i] = 0
-				}
-				s.workVec[s.rnk] = iterWork
-				wv, err := comm.AllreduceInt64SliceMax(s.c, s.workVec)
-				if err != nil {
-					return res, err
-				}
-				copy(s.workVec, wv)
-			}
-		} else if s.pol != nil {
-			// Fused reduction extended with the per-rank work vector: same
-			// message count as AllreduceIterStats, and bit-identical scalar
-			// results, so enabling rebalancing never perturbs Q.
-			st, err := comm.AllreduceIterStatsWork(s.c, comm.IterStats{
-				Moved:  int64(movedLocal + hubMoved),
-				Work:   iterWork,
-				CommNS: commNS,
-				Q:      local,
-			}, s.workVec)
-			if err != nil {
-				return res, err
-			}
-			q, movedTotal, maxWork, maxComm = st.Q, st.Moved, st.Work, st.CommNS
-		} else {
-			st, err := comm.AllreduceIterStats(s.c, comm.IterStats{
-				Moved:  int64(movedLocal + hubMoved),
-				Work:   iterWork,
-				CommNS: commNS,
-				Q:      local,
-			})
-			if err != nil {
-				return res, err
-			}
-			q, movedTotal, maxWork, maxComm = st.Q, st.Moved, st.Work, st.CommNS
+		// With rebalancing on, the per-rank work vector rides the same
+		// reduction (one slot per rank): same message count and
+		// bit-identical scalars, so enabling rebalancing never perturbs Q.
+		var slots []int64
+		if s.pol != nil {
+			slots = s.workVec
+			slots[s.rnk] = iterWork
 		}
+		st, err := comm.AllreduceIterStats(s.c, comm.IterStats{
+			Moved:  int64(movedLocal + hubMoved),
+			Work:   iterWork,
+			CommNS: commNS,
+			Q:      local,
+		}, slots)
+		if err != nil {
+			return res, err
+		}
+		q, movedTotal, maxWork, maxComm := st.Q, st.Moved, st.Work, st.CommNS
 		if s.pol != nil && s.rnk == 0 {
 			if max, sum := s.workStats(); sum > 0 {
 				trace.Eventf("balance", "iter=%d work-max=%d work-mean=%.1f ratio=%.3f",

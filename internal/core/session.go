@@ -307,8 +307,20 @@ func (s *Session) solve() (*rankOut, error) {
 // the representatives, then the stage is rebuilt with exact aggregates and
 // replicated hub/ghost labels, and the drift counters reset.
 func (s *Session) install() error {
-	seq := s.opt.SequentialCollectives
 	tracked, labels := s.out.tracked, s.out.labels
+
+	// Fresh flat stage over the (possibly mutated) original subgraph. The
+	// resident stage never migrates — static v mod p ownership is what the
+	// update mutators and the query API assume. newStage issues no
+	// collective, so building it first lets both exchanges below run on
+	// its pooled buffers.
+	if s.st != nil {
+		s.st.close()
+	}
+	opt2 := s.opt
+	opt2.RebalanceRatio = 0
+	st := newStage(s.c, s.sg, opt2)
+	s.st = st
 
 	// Exchange 1: representative of each final community label L = the
 	// minimum tracked vertex with that label, computed at rank L%p.
@@ -325,21 +337,17 @@ func (s *Session) install() error {
 		}
 	}
 	sort.Ints(keys)
-	outBufs := make([][]byte, s.p)
-	bufs := make([]*wire.Buffer, s.p)
-	for r := range bufs {
-		bufs[r] = wire.NewBuffer(0)
-	}
+	out := st.sendScratch()
 	for _, l := range keys {
-		b := bufs[l%s.p]
+		b := st.sendBufs[l%s.p]
 		b.PutVarint(int64(l))
 		b.PutVarint(int64(localMin[l]))
 	}
-	for r := range bufs {
-		outBufs[r] = bufs[r].Bytes()
+	for r := range out {
+		out[r] = st.sendBufs[r].Bytes()
 	}
 	repOf := make(map[int]int)
-	err := a2aFunc(s.c, seq, outBufs, func(src int, payload []byte) error {
+	err := comm.AlltoallvFunc(s.c, out, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for rd.Remaining() > 0 {
 			l := int(rd.Varint())
@@ -355,23 +363,12 @@ func (s *Session) install() error {
 	}
 
 	// Exchange 2: resolve every tracked vertex's label to its representative.
-	reps, err := resolveQueries(s.c, labels,
+	reps, err := st.resolveQueries(labels,
 		func(l int) int { return l % s.p },
-		func(l int) int { return repOf[l] }, seq)
+		func(l int) int { return repOf[l] })
 	if err != nil {
 		return err
 	}
-
-	// Fresh flat stage over the (possibly mutated) original subgraph. The
-	// resident stage never migrates — static v mod p ownership is what the
-	// update mutators and the query API assume.
-	if s.st != nil {
-		s.st.close()
-	}
-	opt2 := s.opt
-	opt2.RebalanceRatio = 0
-	st := newStage(s.c, s.sg, opt2)
-	s.st = st
 
 	// Authoritative aggregates: zero this rank's community slots, then
 	// rebuild them through the delta ledger exactly like a live iteration
@@ -590,20 +587,25 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	if s.st.m2 > 0 {
 		localQ = s.st.localModularity()
 	}
-	stats, err := comm.AllreduceUpdateStats(s.c, comm.UpdateStats{
-		Moved:   s.batchMoved,
-		Touched: s.batchTouched,
-		Q:       localQ,
-	})
+	// One fused reduction per batch: moved count and Q ride the scalar
+	// header, and each rank's touched count its own slot, summed locally
+	// (exact integers).
+	touched := make([]int64, s.p)
+	touched[s.rnk] = s.batchTouched
+	stats, err := comm.AllreduceIterStats(s.c, comm.IterStats{Moved: s.batchMoved, Q: localQ}, touched)
 	if err != nil {
 		return zero, err
 	}
+	var touchedTotal int64
+	for _, t := range touched {
+		touchedTotal += t
+	}
 	s.q = stats.Q
 	s.driftQ += math.Abs(s.q - qBefore)
-	s.driftTouch += float64(stats.Touched) / float64(s.n)
+	s.driftTouch += float64(touchedTotal) / float64(s.n)
 	return UpdateResult{
 		Moved:    stats.Moved,
-		Touched:  stats.Touched,
+		Touched:  touchedTotal,
 		Q:        s.q,
 		Iters:    res.Iters,
 		NeedFull: s.driftQ > s.opt.DriftQ || s.driftTouch > s.opt.DriftTouched,
@@ -854,7 +856,7 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 			st.sendBufs[r].PutInts(out)
 			bufs[r] = st.sendBufs[r].Bytes()
 		}
-		in, err := st.alltoallv(bufs)
+		in, err := comm.AlltoallvInto(st.c, bufs, st.recvIn)
 		if err != nil {
 			return err
 		}

@@ -311,39 +311,25 @@ func TestIncrementalFallbackAdversarial(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Determinism: identical streams must produce bit-identical results across
-// worker counts and across the sequential/overlapped collective engines.
+// worker counts.
 
 func TestIncrementalDeterminism(t *testing.T) {
 	g := goldenGraph(t)
-	opt := Options{P: 3, DHigh: 6}
 	stream := randomStream(g, 99, 4, 10, 0.3)
-	var ref sessionRun
-	first := true
-	for _, workers := range []int{1, 4} {
-		for _, seq := range []bool{false, true} {
-			o := opt
-			o.Workers = workers
-			o.SequentialCollectives = seq
-			run := runSessionBatches(t, g, o, stream, true)
-			if first {
-				ref = run
-				first = false
-				continue
-			}
-			for i := range ref.Results {
-				a, b := ref.Results[i], run.Results[i]
-				if a.Moved != b.Moved || a.Touched != b.Touched || a.Iters != b.Iters ||
-					a.NeedFull != b.NeedFull || math.Float64bits(a.Q) != math.Float64bits(b.Q) {
-					t.Fatalf("workers=%d seq=%v batch %d: %+v != reference %+v", workers, seq, i, b, a)
-				}
-			}
-			if math.Float64bits(ref.Q) != math.Float64bits(run.Q) {
-				t.Fatalf("workers=%d seq=%v: final Q %x != reference %x", workers, seq, run.Q, ref.Q)
-			}
-			if !sameMembership(ref.Membership, run.Membership) {
-				t.Fatalf("workers=%d seq=%v: final membership differs from reference", workers, seq)
-			}
+	ref := runSessionBatches(t, g, Options{P: 3, DHigh: 6, Workers: 1}, stream, true)
+	run := runSessionBatches(t, g, Options{P: 3, DHigh: 6, Workers: 4}, stream, true)
+	for i := range ref.Results {
+		a, b := ref.Results[i], run.Results[i]
+		if a.Moved != b.Moved || a.Touched != b.Touched || a.Iters != b.Iters ||
+			a.NeedFull != b.NeedFull || math.Float64bits(a.Q) != math.Float64bits(b.Q) {
+			t.Fatalf("workers=4 batch %d: %+v != workers=1 %+v", i, b, a)
 		}
+	}
+	if math.Float64bits(ref.Q) != math.Float64bits(run.Q) {
+		t.Fatalf("workers=4: final Q %x != workers=1 %x", run.Q, ref.Q)
+	}
+	if !sameMembership(ref.Membership, run.Membership) {
+		t.Fatal("workers=4: final membership differs from workers=1")
 	}
 }
 

@@ -295,7 +295,13 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		nReq := int(rd.Uvarint())
 		b := s.sendBufs[r]
 		for j := 0; j < nReq && rd.Err() == nil; j++ {
+			// The id comes straight off a peer's frame: anything this rank
+			// does not own is a malformed request, not an index.
 			c := int(rd.Varint())
+			if c < 0 || c >= s.n || c%s.p != s.rnk {
+				s.chunkWork[r] = -1
+				return
+			}
 			b.PutF64(s.ownTot[c])
 			b.PutVarint(int64(s.ownSize[c]))
 		}

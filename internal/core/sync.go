@@ -25,46 +25,6 @@ func (s *stage) sendScratch() [][]byte {
 	return s.frames
 }
 
-// a2a and a2aFunc dispatch between the overlapped collectives and the
-// sequential baselines. Every exchange in this package goes through them,
-// so Options.SequentialCollectives flips the whole algorithm between the
-// two engines in one place; the determinism tests prove both produce
-// bit-identical results.
-func a2a(c comm.Comm, seq bool, out, in [][]byte) ([][]byte, error) {
-	if seq {
-		return comm.AlltoallvSeq(c, out)
-	}
-	return comm.AlltoallvInto(c, out, in)
-}
-
-// a2aFunc streams inbound frames to fn. Overlapped, the callback order is
-// self first then arrival order, so fn must be order-independent (disjoint
-// writes per source) or buffer per source and apply in rank order itself;
-// the sequential fallback calls fn in rank order.
-func a2aFunc(c comm.Comm, seq bool, out [][]byte, fn func(src int, payload []byte) error) error {
-	if !seq {
-		return comm.AlltoallvFunc(c, out, fn)
-	}
-	in, err := comm.AlltoallvSeq(c, out)
-	if err != nil {
-		return err
-	}
-	for r := 0; r < c.Size(); r++ {
-		if err := fn(r, in[r]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *stage) alltoallv(out [][]byte) ([][]byte, error) {
-	return a2a(s.c, s.opt.SequentialCollectives, out, s.recvIn)
-}
-
-func (s *stage) alltoallvFunc(out [][]byte, fn func(src int, payload []byte) error) error {
-	return a2aFunc(s.c, s.opt.SequentialCollectives, out, fn)
-}
-
 // fetchCommunityInfo refreshes the Σtot/size caches for every community
 // referenced locally: requests are routed to community owners via an
 // all-to-all exchange and answered from the authoritative tables. The
@@ -80,7 +40,7 @@ func (s *stage) fetchCommunityInfo() error {
 		nReq += s.chunkWork[r]
 	}
 	s.addWork(trace.Other, nReq)
-	in, err := s.alltoallv(out)
+	in, err := comm.AlltoallvInto(s.c, out, s.recvIn)
 	if err != nil {
 		return err
 	}
@@ -101,7 +61,7 @@ func (s *stage) fetchCommunityInfo() error {
 			if err := rd.Err(); err != nil {
 				return err
 			}
-			return fmt.Errorf("core: rank %d: malformed request frame from rank %d", s.rnk, r)
+			return fmt.Errorf("core: rank %d: request frame from rank %d: %w", s.rnk, r, comm.ErrMalformed)
 		}
 		s.addWork(trace.Other, s.chunkWork[r])
 	}
@@ -112,7 +72,7 @@ func (s *stage) fetchCommunityInfo() error {
 	// touched list).
 	s.resetCache()
 	var rd wire.Reader
-	err = s.alltoallvFunc(replies, func(src int, payload []byte) error {
+	err = comm.AlltoallvFunc(s.c, replies, func(src int, payload []byte) error {
 		rd.Reset(payload)
 		for _, c := range reqs[src] {
 			s.installCache(c, rd.F64(), int32(rd.Varint()))
@@ -154,18 +114,7 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 	// Encode + apply are O(hubs) on every rank; the reduction itself adds
 	// O(hubs · log p) combine work, charged here as well.
 	s.addWork(trace.BroadcastDelegates, int64(nh)*int64(2+log2ceil(s.p)))
-	// The proposal combine is an exact semilattice (max improvement, ties
-	// to the smaller label), so the reduction algorithm is free to vary by
-	// size: recursive doubling for thin hub tails, the pipelined ring once
-	// the payload is bandwidth-bound. The record count nh is replicated on
-	// every rank, as AllreduceBytesAuto's selection requires.
-	var win []byte
-	var err error
-	if s.opt.SequentialCollectives {
-		win, err = comm.AllreduceBytes(s.c, s.hubBuf.Bytes(), combineHubProposals)
-	} else {
-		win, err = comm.AllreduceBytesAuto(s.c, s.hubBuf.Bytes(), nh, splitHubProposals, combineHubProposals)
-	}
+	win, err := comm.AllreduceBytes(s.c, s.hubBuf.Bytes(), combineHubProposals)
 	if err != nil {
 		return 0, err
 	}
@@ -215,32 +164,6 @@ func log2ceil(v int) int {
 	return n
 }
 
-// splitHubProposals cuts an encoded proposal vector into n record-aligned
-// segments for the pipelined ring reduction. Records are (F64, Varint)
-// pairs, so ranks encode the same record in different byte counts; the
-// split therefore walks record boundaries and assigns records to segments
-// by the replicated record count alone, which is identical on every rank
-// as comm.SplitFunc requires.
-func splitHubProposals(data []byte, n int) [][]byte {
-	var rd wire.Reader
-	rd.Reset(data)
-	offs := make([]int, 0, 64)
-	for rd.Remaining() > 0 {
-		offs = append(offs, len(data)-rd.Remaining())
-		rd.F64()
-		rd.Varint()
-	}
-	nrec := len(offs)
-	offs = append(offs, len(data))
-	segs := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		lo := i * nrec / n
-		hi := (i + 1) * nrec / n
-		segs[i] = data[offs[lo]:offs[hi]]
-	}
-	return segs
-}
-
 // combineHubProposals merges two encoded proposal vectors elementwise,
 // keeping the higher improvement and breaking ties toward the smaller
 // target label. It is associative and commutative as AllreduceBytes
@@ -286,7 +209,7 @@ func (s *stage) ghostSwap() error {
 	// arrival-order application is deterministic.
 	recvd := int64(0)
 	var rd wire.Reader
-	err := s.alltoallvFunc(bufs, func(src int, payload []byte) error {
+	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
 		rd.Reset(payload)
 		for rd.Remaining() > 0 {
 			v := int(rd.Varint())
@@ -329,12 +252,12 @@ func (s *stage) flushDeltas() error {
 	// Decode overlaps in-flight traffic (arrival order), but Σtot is a
 	// floating-point accumulation whose result depends on addend order, so
 	// the decoded records are buffered per source rank and applied in rank
-	// order below — bit-identical to the sequential exchange.
+	// order below — bit-identical to applying the frames in rank order.
 	for r := 0; r < s.p; r++ {
 		s.deltaSrc[r] = s.deltaSrc[r][:0]
 	}
 	var rd wire.Reader
-	err := s.alltoallvFunc(bufs, func(src int, payload []byte) error {
+	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
 		rd.Reset(payload)
 		recs := s.deltaSrc[src]
 		for rd.Remaining() > 0 {

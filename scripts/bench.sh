@@ -28,7 +28,7 @@ go test -run '^$' -bench '^BenchmarkKernel' -benchtime "$KERNEL_TIME" -benchmem 
 
 echo "== collective engine benchmarks (-benchtime $COMM_TIME) ==" >&2
 go test -run '^$' \
-    -bench '^(BenchmarkAlltoallvSeq|BenchmarkAlltoallvOverlap|BenchmarkAllreduceRingPipelined)$' \
+    -bench '^(BenchmarkAlltoallvSeq|BenchmarkAlltoallvOverlap)$' \
     -benchtime "$COMM_TIME" -benchmem ./internal/comm/ | tee -a "$raw" >&2
 
 echo "== ingest & partition benchmarks (-benchtime $INGEST_TIME) ==" >&2

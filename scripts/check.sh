@@ -82,4 +82,11 @@ for pkg in ./internal/wire ./internal/graph ./internal/comm ./internal/analysis;
     done
 done
 
+echo "== Go line counts (advisory) =="
+# Not a gate: the non-test and test Go line counts that ROADMAP.md tracks,
+# excluding the benchmark module (perfbench/) and analyzer fixtures
+# (testdata/).
+go_lines() { git ls-files '*.go' | grep -v '^perfbench/' | grep -v /testdata/ | grep "$@" | xargs cat | wc -l; }
+echo "non-test Go lines: $(go_lines -v '_test\.go$'), test Go lines: $(go_lines '_test\.go$')"
+
 echo "== all checks passed =="
