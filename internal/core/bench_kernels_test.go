@@ -10,6 +10,7 @@ package core
 // work is measured by.
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/comm"
@@ -48,21 +49,7 @@ func benchKernel(b *testing.B, op func(s *stage) error) {
 		// Warm up to the fixed point: iterate the full per-iteration
 		// protocol until no vertex moves anywhere in the world.
 		for iter := 0; iter < opt.MaxInnerIters; iter++ {
-			if err := s.fetchCommunityInfo(); err != nil {
-				return err
-			}
-			props, movedLocal := s.sweep()
-			hubMoved, err := s.delegateExchange(props)
-			if err != nil {
-				return err
-			}
-			if err := s.ghostSwap(); err != nil {
-				return err
-			}
-			if err := s.flushDeltas(); err != nil {
-				return err
-			}
-			movedTotal, err := comm.AllreduceInt64Sum(c, int64(movedLocal+hubMoved))
+			movedTotal, err := benchIteration(c, s)
 			if err != nil {
 				return err
 			}
@@ -90,6 +77,26 @@ func benchKernel(b *testing.B, op func(s *stage) error) {
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// benchIteration runs one iteration of the per-iteration protocol on
+// every rank and returns the number of vertices moved world-wide.
+func benchIteration(c comm.Comm, s *stage) (int64, error) {
+	if err := s.fetchCommunityInfo(); err != nil {
+		return 0, err
+	}
+	props, movedLocal := s.sweep()
+	hubMoved, err := s.delegateExchange(props)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.ghostSwap(); err != nil {
+		return 0, err
+	}
+	if err := s.flushDeltas(); err != nil {
+		return 0, err
+	}
+	return comm.AllreduceInt64Sum(c, int64(movedLocal+hubMoved))
 }
 
 // BenchmarkKernelSweep measures the greedy local-moving pass (owned
@@ -142,4 +149,57 @@ func BenchmarkKernelGlobalModularity(b *testing.B) {
 		_, err := s.globalModularity()
 		return err
 	})
+}
+
+// BenchmarkKernelScanCandidates measures candidate selection alone on one
+// hub-sized adjacency: the largest hub of a single-rank R-MAT scale-14
+// stage after one iteration, whose arcs touch about 3,000 communities
+// (reported as touched/op). Every gain there is below the stay gain, so
+// the prefilter leaves nothing to sort; the kernel's cost is the
+// accumulation and one gain per touched community.
+func BenchmarkKernelScanCandidates(b *testing.B) {
+	g, err := gen.RMAT(gen.Graph500RMAT(14, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt, err := (Options{P: 1, DHigh: 64}).withDefaults()
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout, err := partition.Build(g, partition.Options{P: 1, Kind: opt.Partitioning, DHigh: opt.DHigh})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	err = comm.RunWorld(1, func(c comm.Comm) error {
+		s := newStage(c, layout.Parts[0], opt)
+		defer s.close()
+		if _, err := benchIteration(c, s); err != nil {
+			return err
+		}
+		if err := s.fetchCommunityInfo(); err != nil {
+			return err
+		}
+		if len(s.sg.Hubs) == 0 {
+			return errors.New("no hubs at DHigh 64")
+		}
+		h := 0
+		for i, adj := range s.sg.AdjHub {
+			if len(adj) > len(s.sg.AdjHub[h]) {
+				h = i
+			}
+		}
+		u, k, adj := s.sg.Hubs[h], s.sg.HubWDeg[h], s.sg.AdjHub[h]
+		cu, acc := int(s.comm[u]), s.accs[0]
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.scanCandidates(u, cu, k, adj, acc)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(len(acc.keys)), "touched/op")
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 }

@@ -220,12 +220,12 @@ func TestGainAccumulator(t *testing.T) {
 	if acc.w[3] != 2.0 || acc.w[7] != 2.0 {
 		t.Errorf("weights: %v", acc.w)
 	}
-	keys := acc.sortedKeys()
-	if len(keys) != 2 || keys[0] != 3 || keys[1] != 7 {
-		t.Errorf("keys: %v", keys)
+	acc.add(1, 0.25)
+	if keys := acc.keys; len(keys) != 3 || keys[0] != 3 || keys[1] != 7 || keys[2] != 1 {
+		t.Errorf("keys not in touch order: %v", keys)
 	}
 	acc.reset()
-	if acc.w[3] != 0 || len(acc.keys) != 0 {
+	if acc.w[3] != 0 || acc.w[1] != 0 || acc.seen[7] || len(acc.keys) != 0 {
 		t.Error("reset incomplete")
 	}
 }

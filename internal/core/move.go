@@ -53,9 +53,10 @@ func (s *stage) sweep() ([]hubProposal, int) {
 }
 
 // gainAccumulator gathers w(u→c) per neighboring community for one vertex,
-// with O(touched) reset. cands is the reusable equal-gain candidate scratch
-// of scanCandidates. One accumulator exists per worker, allocated once per
-// stage, so the steady-state sweep allocates nothing.
+// with O(touched) reset. keys lists the touched communities in touch order.
+// cands is the reusable candidate scratch of scanCandidates. One
+// accumulator exists per worker, allocated once per stage, so the
+// steady-state sweep allocates nothing.
 type gainAccumulator struct {
 	w     []float64
 	seen  []bool
@@ -85,15 +86,6 @@ func (g *gainAccumulator) add(c int, w float64) {
 	g.w[c] += w
 }
 
-// sortedKeys returns the touched communities in ascending label order, so
-// every decision below is deterministic.
-//
-//perf:noalloc
-func (g *gainAccumulator) sortedKeys() []int {
-	sort.Ints(g.keys)
-	return g.keys
-}
-
 // scanCandidates accumulates the arc weights of vertex u (current community
 // cu, weighted degree k, adjacency adj) into acc and collects the max-gain
 // candidate communities. It returns the gain of staying in cu, the best
@@ -101,6 +93,25 @@ func (g *gainAccumulator) sortedKeys() []int {
 // (aliasing acc's scratch, valid until the next call on the same acc).
 // This is the one place the gain and tie logic lives; bestMove and
 // hubProposal both arbitrate its output.
+//
+// The result is defined by an ε-band ratchet over every touched community
+// in ascending label order: best starts at stayGain, a gain above
+// best+gainEps resets the candidate set, a gain within the band joins it.
+// Running that ratchet over every touched community would need a sort of
+// all of them, so it runs in two passes instead:
+//
+//  1. In touch order, compute each community's gain once and keep only the
+//     survivors, gain > stayGain-gainEps. best never falls below stayGain,
+//     so a dropped community fails both ratchet branches wherever it would
+//     sit in label order: it can neither reset nor join the set, and
+//     dropping it changes nothing. The survivor's gain replaces its weight
+//     in acc.w, so pass 2 reads the same float.
+//  2. Sort the survivors and run the ratchet over them in label order.
+//
+// The stay-gain floor is the only sound static cut. A cut relative to the
+// maximum gain (say, M-2·gainEps) is not exact: in a chain of gains about
+// gainEps apart, dropping an early link changes which element does the
+// last reset (TestTighterCutIsNotExact).
 //
 //perf:noalloc
 func (s *stage) scanCandidates(u, cu int, k float64, adj []partition.Arc, acc *gainAccumulator) (stayGain, best float64, cands []int) {
@@ -115,13 +126,31 @@ func (s *stage) scanCandidates(u, cu int, k float64, adj []partition.Arc, acc *g
 	totCu := s.lookupTot(cu) - k
 	stayGain = acc.w[cu] - s.gamma*totCu*k/s.m2
 
-	best = stayGain
-	cands = acc.cands[:0]
-	for _, c := range acc.sortedKeys() {
+	// Pass 1: the stay-gain prefilter, in touch order.
+	floor := stayGain - gainEps
+	surv := acc.cands[:0]
+	for _, c := range acc.keys {
 		if c == cu {
 			continue
 		}
 		gain := acc.w[c] - s.gamma*s.lookupTot(c)*k/s.m2
+		if gain > floor {
+			acc.w[c] = gain
+			surv = append(surv, c)
+		}
+	}
+	acc.cands = surv[:0]
+	if len(surv) > 1 {
+		sort.Ints(surv)
+	}
+
+	// Pass 2: the ratchet over the survivors in label order. cands
+	// compacts in place over surv: it never holds more entries than have
+	// been read.
+	best = stayGain
+	cands = surv[:0]
+	for _, c := range surv {
+		gain := acc.w[c]
 		switch {
 		case gain > best+gainEps:
 			best = gain
@@ -130,7 +159,6 @@ func (s *stage) scanCandidates(u, cu int, k float64, adj []partition.Arc, acc *g
 			cands = append(cands, c)
 		}
 	}
-	acc.cands = cands[:0]
 	return stayGain, best, cands
 }
 

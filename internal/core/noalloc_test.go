@@ -74,18 +74,17 @@ func TestNoallocAnnotations(t *testing.T) {
 		// owned vertex's data: it only reads stage state, so any vertex with
 		// adjacency stands in for a hub.
 		drivers := map[string]func(){
-			"stage.sweep":                func() { s.sweep() },
-			"stage.sendScratch":          func() { s.sendScratch() },
-			"gainAccumulator.reset":      func() { acc.reset() },
-			"gainAccumulator.add":        func() { acc.reset(); acc.add(cu, 1.0) },
-			"gainAccumulator.sortedKeys": func() { acc.sortedKeys() },
-			"stage.scanCandidates":       func() { s.scanCandidates(u, cu, ku, adj, acc) },
-			"stage.bestMove":             func() { s.bestMove(u, ku, adj, acc) },
-			"stage.hubProposal":          func() { s.hubProposal(u, ku, adj, acc) },
-			"fillInt32":                  func() { fillInt32(mh, -1) },
-			"histCount":                  func() { histCount(mx, 0, len(mx), mh[:4]) },
-			"histCountFused":             func() { histCountFused(mx, 0, len(mx), 2, 2, mh[:4]) },
-			"histOffsets":                func() { histPrep(); histOffsets(mh, 2, 4, 1, mbounds) },
+			"stage.sweep":           func() { s.sweep() },
+			"stage.sendScratch":     func() { s.sendScratch() },
+			"gainAccumulator.reset": func() { acc.reset() },
+			"gainAccumulator.add":   func() { acc.reset(); acc.add(cu, 1.0) },
+			"stage.scanCandidates":  func() { s.scanCandidates(u, cu, ku, adj, acc) },
+			"stage.bestMove":        func() { s.bestMove(u, ku, adj, acc) },
+			"stage.hubProposal":     func() { s.hubProposal(u, ku, adj, acc) },
+			"fillInt32":             func() { fillInt32(mh, -1) },
+			"histCount":             func() { histCount(mx, 0, len(mx), mh[:4]) },
+			"histCountFused":        func() { histCountFused(mx, 0, len(mx), 2, 2, mh[:4]) },
+			"histOffsets":           func() { histPrep(); histOffsets(mh, 2, 4, 1, mbounds) },
 			"scatterRecords": func() {
 				histPrep()
 				scatterRecords(mx, my, mw, 0, len(mx)/2, mh[:4], mox, moy, mow)

@@ -208,25 +208,44 @@ func (s *stage) ghostSwap() error {
 	// its owner, so the per-source writes to s.comm are disjoint and
 	// arrival-order application is deterministic.
 	recvd := int64(0)
-	var rd wire.Reader
 	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
-		rd.Reset(payload)
-		for rd.Remaining() > 0 {
-			v := int(rd.Varint())
-			c := int32(rd.Varint())
-			if s.onGhostChange != nil && s.comm[v] != c {
-				s.onGhostChange(v)
-			}
-			s.comm[v] = c
-			recvd++
-		}
-		return rd.Err()
+		n, err := s.applyGhostFrame(src, payload)
+		recvd += n
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	s.addWork(trace.SwapGhost, recvd)
 	return nil
+}
+
+// applyGhostFrame decodes one peer's ghost-swap frame, a run of (vertex,
+// label) varint pairs, into s.comm and returns the number of pairs
+// applied. Both values come straight off a peer's frame: a vertex outside
+// [0, n) or owned by this rank, a label outside [0, n), or a truncated
+// pair is a malformed frame, not an index. The pairs before the bad one
+// stay applied; the error ends the solve.
+func (s *stage) applyGhostFrame(src int, payload []byte) (int64, error) {
+	var rd wire.Reader
+	rd.Reset(payload)
+	n := int64(s.n)
+	applied := int64(0)
+	for rd.Remaining() > 0 {
+		v, c := rd.Varint(), rd.Varint()
+		if err := rd.Err(); err != nil {
+			return applied, fmt.Errorf("core: rank %d: ghost frame from rank %d: %v: %w", s.rnk, src, err, comm.ErrMalformed)
+		}
+		if v < 0 || v >= n || s.ownerOf(int(v)) == s.rnk || c < 0 || c >= n {
+			return applied, fmt.Errorf("core: rank %d: ghost frame from rank %d: vertex %d label %d: %w", s.rnk, src, v, c, comm.ErrMalformed)
+		}
+		if s.onGhostChange != nil && s.comm[v] != int32(c) {
+			s.onGhostChange(int(v))
+		}
+		s.comm[v] = int32(c)
+		applied++
+	}
+	return applied, nil
 }
 
 // flushDeltas routes the pending Σtot/size deltas to community owners and

@@ -75,7 +75,11 @@ go test -list '^FuzzReadVertexRange$' ./internal/graph | grep '^FuzzReadVertexRa
 # flows through it, so its fuzz harness must stay in the discovery set.
 go test -list '^FuzzIgnoreDirective$' ./internal/analysis | grep '^FuzzIgnoreDirective$' > /dev/null \
     || { echo "error: FuzzIgnoreDirective missing from internal/analysis" >&2; exit 1; }
-for pkg in ./internal/wire ./internal/graph ./internal/comm ./internal/analysis; do
+# And the ghost-swap decoder: peer bytes index the label table, so its
+# "typed error or applied, never panic" harness must stay discovered.
+go test -list '^FuzzGhostFrame$' ./internal/core | grep '^FuzzGhostFrame$' > /dev/null \
+    || { echo "error: FuzzGhostFrame missing from internal/core" >&2; exit 1; }
+for pkg in ./internal/wire ./internal/graph ./internal/comm ./internal/analysis ./internal/core; do
     for tgt in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
         echo "-- fuzz $pkg $tgt"
         go test -run '^$' -fuzz "^${tgt}\$" -fuzztime 5s "$pkg"
