@@ -108,8 +108,10 @@ func BenchmarkKernelSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelFetchCommunityInfo measures the Σtot/size cache refresh:
-// request dedup + encode, two all-to-alls, answer encode, install.
+// BenchmarkKernelFetchCommunityInfo measures the Σtot/size cache refresh
+// in the steady state: the reference-set walk and diff against the
+// subscriptions, two all-to-alls of empty subscription changes, and an
+// empty push scan (no community changed).
 func BenchmarkKernelFetchCommunityInfo(b *testing.B) {
 	benchKernel(b, func(s *stage) error {
 		return s.fetchCommunityInfo()

@@ -109,11 +109,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	// 1. Dense numbering of non-empty owned communities: count them, agree
 	// on prefix offsets via an allgather, then assign consecutive IDs into
 	// the strided denseOwn table (row c/p holds community c ≡ rnk mod p).
-	rowsOwn := 0
-	if s.n > s.rnk {
-		rowsOwn = (s.n-s.rnk-1)/s.p + 1
-	}
-	ms.denseOwn = grow(ms.denseOwn, rowsOwn)
+	ms.denseOwn = grow(ms.denseOwn, s.ownedRows())
 	nLocal := 0
 	for c := s.rnk; c < s.n; c += s.p {
 		if s.ownSize[c] > 0 {

@@ -98,8 +98,8 @@ type Options struct {
 	// every clustering stage (the dendrogram), in Result.LevelMemberships.
 	TrackLevels bool
 	// Workers is the intra-rank worker count for the parallel read-only
-	// kernels (hub proposals, the modularity arc scan, request
-	// encode/answer). 0 selects GOMAXPROCS/P (min 1); 1 forces the serial
+	// kernels (hub proposals, the modularity arc scan, the Σtot fetch's
+	// owner-side answers). 0 selects GOMAXPROCS/P (min 1); 1 forces the serial
 	// path. Results are bit-identical at every setting: chunk boundaries
 	// depend only on data size and partial results combine in chunk order.
 	Workers int

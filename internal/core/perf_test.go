@@ -201,6 +201,11 @@ func TestSteadyStateAllocCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		check("fetchCommunityInfo", 8, func() {
+			if err := s.fetchCommunityInfo(); err != nil {
+				t.Fatal(err)
+			}
+		})
 		check("flushDeltas", 8, func() {
 			if err := s.flushDeltas(); err != nil {
 				t.Fatal(err)

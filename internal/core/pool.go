@@ -4,7 +4,7 @@ import "repro/internal/par"
 
 // Intra-rank parallelism. Each rank may run its read-only per-iteration
 // kernels (hub-proposal computation, the global-modularity arc scan, the
-// request encode/answer loops) on a small pool of worker goroutines. The
+// Σtot fetch's owner-side answer loop) on a small pool of worker goroutines. The
 // pool itself lives in internal/par (extracted in PR 5 so the ingest and
 // partitioning pipeline can share it); this file keeps core's historical
 // names so the kernel call sites read unchanged.

@@ -59,6 +59,11 @@ func (s *stage) cluster() (stageResult, error) {
 		if err := s.fetchCommunityInfo(); err != nil {
 			return res, err
 		}
+		if hook := testFetchHook; hook != nil {
+			if err := hook(s); err != nil {
+				return res, err
+			}
+		}
 		s.tm.Start(trace.FindBest)
 		props, movedLocal := s.doSweep()
 		s.tm.Start(trace.BroadcastDelegates)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/comm"
@@ -36,14 +35,37 @@ type stage struct {
 	// unknown vertices are -1.
 	comm []int32
 
-	// tot and size are cached community aggregates, refreshed from the
-	// community owners at the start of every iteration and adjusted
+	// tot and size are cached community aggregates of the communities
+	// locally known vertices reference, brought up to date by the
+	// subscription fetch at the start of every iteration and adjusted
 	// locally during the sweep (Gauss-Seidel within the rank). cached
-	// marks valid entries; cachedList drives O(touched) reset.
+	// marks the entries of the last fetch's reference set, which is also
+	// the set of communities this rank subscribes to; cachedList lists
+	// them in traversal order. refList is the scratch the next reference
+	// set is built in (fetchCommunityInfo swaps the two).
 	tot        []float64
 	size       []int32
 	cached     []bool
 	cachedList []int
+	refList    []int
+
+	// subs[r] and unsubs[r] are the communities owned by rank r that this
+	// rank started and stopped referencing since the previous fetch (the
+	// request leg of fetchCommunityInfo); subs[r] also fixes the order of
+	// r's positional answers.
+	subs   [][]int
+	unsubs [][]int
+
+	// Owner side of the subscription fetch. subBits[r] holds one bit per
+	// owned community (bit c/p): set while rank r subscribes to c. dirty
+	// lists the owned communities named by a delta record applied since
+	// the last fetch (dirtyMark dedups it); their values are pushed to the
+	// subscribers at the next fetch. fetchErr holds the per-source errors
+	// of the answer kernel.
+	subBits   [][]uint64
+	dirty     []int
+	dirtyMark []bool
+	fetchErr  []error
 
 	// ownTot and ownSize are the authoritative aggregates for communities
 	// owned by this rank (IDs ≡ rnk mod p), updated by the delta exchange.
@@ -140,24 +162,23 @@ type stage struct {
 	qKernel func(chunk, worker int)
 	qChunks int
 
-	// encKernel/ansKernel chunk fetchCommunityInfo's request-encode and
-	// answer loops by peer rank; recvFrames carries the received frames
-	// into ansKernel between the collectives.
-	encKernel  func(r, worker int)
+	// ansKernel chunks fetchCommunityInfo's owner-side answer loop by
+	// source rank; recvFrames carries the received request frames into it
+	// between the collectives.
 	ansKernel  func(r, worker int)
 	recvFrames [][]byte
 
-	// needMark/reqs are the dense dedup scratch of neededCommunities:
-	// needMark[c] marks community c as already requested this round, and
-	// reqs[r] accumulates the requests owned by rank r. Both are reset in
-	// O(touched) at the end of each call.
+	// needMark is the dense dedup scratch of noteReferenced: needMark[c]
+	// marks community c as already listed this round; callers clear it in
+	// O(touched). reqs[r] accumulates neededCommunities' ids owned by
+	// rank r.
 	needMark []bool
 	reqs     [][]int
 
 	// chunkQ/chunkWork hold per-chunk partial results of parFor kernels,
 	// combined on the main goroutine in chunk order (bit-identical float
 	// reductions at every worker count). chunkWork is sized max(p,
-	// maxChunks) because the encode/answer kernels chunk by peer rank.
+	// maxChunks) because the answer kernel chunks by source rank.
 	chunkQ    [maxChunks]float64
 	chunkArcs [maxChunks]int64
 	chunkWork []int64
@@ -235,6 +256,7 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		deltaN:    make([]int32, n),
 		deltaMark: make([]bool, n),
 		needMark:  make([]bool, n),
+		dirtyMark: make([]bool, n),
 		hubBuf:    wire.NewBuffer(0),
 	}
 	nw := opt.Workers
@@ -261,6 +283,13 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	s.recvIn = make([][]byte, s.p)
 	s.deltaSrc = make([][]deltaRec, s.p)
 	s.reqs = make([][]int, s.p)
+	s.subs = make([][]int, s.p)
+	s.unsubs = make([][]int, s.p)
+	s.fetchErr = make([]error, s.p)
+	s.subBits = make([][]uint64, s.p)
+	for r := range s.subBits {
+		s.subBits[r] = make([]uint64, (s.ownedRows()+63)/64)
+	}
 	nh := len(sg.Hubs)
 	s.props = make([]hubProposal, nh)
 	s.hubChunks = numChunks(nh)
@@ -283,34 +312,10 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		s.chunkArcs[chunk] = w
 	}
 	s.buildQKernel()
-	s.encKernel = func(r, _ int) {
-		b := s.sendBufs[r]
-		b.PutInts(s.reqs[r])
-		s.frames[r] = b.Bytes()
-		s.chunkWork[r] = int64(len(s.reqs[r]))
-	}
 	s.ansKernel = func(r, _ int) {
-		var rd wire.Reader
-		rd.Reset(s.recvFrames[r])
-		nReq := int(rd.Uvarint())
 		b := s.sendBufs[r]
-		for j := 0; j < nReq && rd.Err() == nil; j++ {
-			// The id comes straight off a peer's frame: anything this rank
-			// does not own is a malformed request, not an index.
-			c := int(rd.Varint())
-			if c < 0 || c >= s.n || c%s.p != s.rnk {
-				s.chunkWork[r] = -1
-				return
-			}
-			b.PutF64(s.ownTot[c])
-			b.PutVarint(int64(s.ownSize[c]))
-		}
-		if rd.Err() != nil {
-			s.chunkWork[r] = -1
-			return
-		}
+		s.chunkWork[r], s.fetchErr[r] = s.answerSubscriptions(r, s.recvFrames[r], b)
 		s.frames[r] = b.Bytes()
-		s.chunkWork[r] = int64(nReq)
 	}
 	cw := s.p
 	if cw < maxChunks {
@@ -393,6 +398,15 @@ func (s *stage) close() {
 // commOwner returns the rank that owns community (or vertex) id c.
 func (s *stage) commOwner(c int) int { return c % s.p }
 
+// ownedRows is the number of community ids this rank owns; owned id c is
+// row c/p of the rank's per-community tables.
+func (s *stage) ownedRows() int {
+	if s.n <= s.rnk {
+		return 0
+	}
+	return (s.n-s.rnk-1)/s.p + 1
+}
+
 // lookupTot returns the cached Σtot of community c; the fetch step
 // guarantees every candidate community is cached, so a miss is a bug.
 func (s *stage) lookupTot(c int) float64 {
@@ -411,54 +425,38 @@ func (s *stage) cachedSize(c int) int32 {
 	return s.size[c]
 }
 
-// resetCache invalidates all cached community aggregates in O(touched).
-func (s *stage) resetCache() {
-	for _, c := range s.cachedList {
-		s.cached[c] = false
+// noteReferenced lists the distinct communities referenced by locally
+// known vertices (owned, hubs, ghosts, in that order) in refList and marks
+// each in needMark; the caller clears the marks. The traversal order is a
+// pure function of the labels, so the list needs no sort to be
+// reproducible.
+func (s *stage) noteReferenced() {
+	ref := s.refList[:0]
+	for _, vs := range [...][]int{s.sg.Owned, s.sg.Hubs, s.sg.Ghosts} {
+		for _, v := range vs {
+			c := s.comm[v]
+			if !s.needMark[c] {
+				s.needMark[c] = true
+				ref = append(ref, int(c))
+			}
+		}
 	}
-	s.cachedList = s.cachedList[:0]
-}
-
-// installCache stores a fetched aggregate.
-func (s *stage) installCache(c int, tot float64, size int32) {
-	if !s.cached[c] {
-		s.cached[c] = true
-		s.cachedList = append(s.cachedList, c)
-	}
-	s.tot[c] = tot
-	s.size[c] = size
+	s.refList = ref
 }
 
 // neededCommunities returns the deduplicated set of community IDs
-// referenced by any locally known vertex, grouped by owning rank. The
-// returned per-rank slices are stage-owned scratch, valid until the next
-// call.
+// referenced by any locally known vertex, grouped by owning rank in
+// traversal order. The returned per-rank slices are stage-owned scratch,
+// valid until the next call.
 func (s *stage) neededCommunities() [][]int {
 	for r := range s.reqs {
 		s.reqs[r] = s.reqs[r][:0]
 	}
-	note := func(v int) {
-		c := int(s.comm[v])
-		if s.needMark[c] {
-			return
-		}
-		s.needMark[c] = true
-		s.reqs[c%s.p] = append(s.reqs[c%s.p], c)
-	}
-	for _, u := range s.sg.Owned {
-		note(u)
-	}
-	for _, h := range s.sg.Hubs {
-		note(h)
-	}
-	for _, g := range s.sg.Ghosts {
-		note(g)
-	}
-	for r := range s.reqs {
-		sort.Ints(s.reqs[r])
-		for _, c := range s.reqs[r] {
-			s.needMark[c] = false
-		}
+	s.noteReferenced()
+	for _, c := range s.refList {
+		s.needMark[c] = false
+		o := s.commOwner(c)
+		s.reqs[o] = append(s.reqs[o], c)
 	}
 	return s.reqs
 }

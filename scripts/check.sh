@@ -79,6 +79,13 @@ go test -list '^FuzzIgnoreDirective$' ./internal/analysis | grep '^FuzzIgnoreDir
 # "typed error or applied, never panic" harness must stay discovered.
 go test -list '^FuzzGhostFrame$' ./internal/core | grep '^FuzzGhostFrame$' > /dev/null \
     || { echo "error: FuzzGhostFrame missing from internal/core" >&2; exit 1; }
+# The Σtot fetch, delta-flush and hub-agreement decoders take community ids
+# and labels straight off peer frames; their fuzz harnesses must stay in the
+# discovery set.
+for tgt in FuzzFetchFrames FuzzDeltaFrame FuzzHubProposals; do
+    go test -list "^${tgt}\$" ./internal/core | grep "^${tgt}\$" > /dev/null \
+        || { echo "error: ${tgt} missing from internal/core" >&2; exit 1; }
+done
 for pkg in ./internal/wire ./internal/graph ./internal/comm ./internal/analysis ./internal/core; do
     for tgt in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
         echo "-- fuzz $pkg $tgt"
